@@ -41,6 +41,7 @@ from .search import (
     MinimizeResult,
     OrbitResult,
     SearchBounds,
+    SearchError,
     SearchOutcome,
     classify_corpus,
     equivalent,
@@ -70,7 +71,7 @@ __all__ = [
     "bracket", "f_poly", "quandle_colorings", "check_quandle",
     "dihedral_quandle", "trivial_quandle", "load_quandle",
     "MoveSite", "MoveError", "enumerate_moves", "apply_move", "simplify_greedy",
-    "SearchBounds", "SearchOutcome", "OrbitResult", "MinimizeResult",
+    "SearchBounds", "SearchError", "SearchOutcome", "OrbitResult", "MinimizeResult",
     "orbit", "equivalent", "minimize", "classify_corpus",
 ]
 

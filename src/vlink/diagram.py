@@ -27,7 +27,6 @@ represent broken maps, which :func:`validate` reports as data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,27 +54,29 @@ class Diagram:
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
         """Map dart -> vertex, from the rotation partition."""
-        out = [-1] * self.n_darts
+        n = self.n_darts
+        out = [-1] * n
         for v, rot in enumerate(self.rotations):
             for d in rot:
-                if 0 <= d < self.n_darts:
+                if 0 <= d < n:
                     out[d] = v
         return tuple(out)
 
     @cached_property
     def sigma(self) -> tuple[int, ...]:
         """Counterclockwise next dart at the same vertex."""
-        out = [-1] * self.n_darts
+        n = self.n_darts
+        out = [-1] * n
         for rot in self.rotations:
             for i, d in enumerate(rot):
-                if 0 <= d < self.n_darts:
+                if 0 <= d < n:
                     out[d] = rot[(i + 1) % 4]
         return tuple(out)
 
     @cached_property
     def opposite(self) -> tuple[int, ...]:
-        return tuple(self.sigma[s] if 0 <= (s := self.sigma[d]) < self.n_darts else -1
-                     for d in range(self.n_darts))
+        sigma, n = self.sigma, self.n_darts
+        return tuple(sigma[s] if 0 <= (s := sigma[d]) < n else -1 for d in range(n))
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -109,17 +110,18 @@ class Diagram:
         Each circuit is rotated to start at its least dart; circuits are
         sorted by that dart.  Free loops are not included.
         """
+        edge_pair, opposite, inbound = self.edge_pair, self.opposite, self.inbound
         seen = set()
         circuits = []
         for d in range(self.n_darts):
-            if d in seen or not self.inbound[d]:
+            if d in seen or not inbound[d]:
                 continue
             walk = []
             x = d
             while x not in seen:
                 seen.add(x)
                 walk.append(x)
-                x = self.edge_pair[self.opposite[x]]
+                x = edge_pair[opposite[x]]
             k = walk.index(min(walk))
             circuits.append(tuple(walk[k:] + walk[:k]))
         circuits.sort(key=lambda c: c[0])
@@ -277,52 +279,117 @@ def relabel(d: Diagram, vertex_order: list[int]) -> Diagram:
     return Diagram(rotations, tuple(edge), tuple(over), tuple(inbound), d.free_loops)
 
 
-def _serialize(d: Diagram, comp_order: tuple[int, ...], starts: tuple[int, ...]) -> str:
-    """Emit a signed Gauss string for one choice of component order and
-    starting pass per component; crossings renumbered by first traversal."""
-    names: dict[int, int] = {}
-    parts = []
-    for ci, si in zip(comp_order, starts):
-        circ = d.strand_circuits[ci]
-        toks = []
-        for j in range(len(circ)):
-            p = circ[(si + j) % len(circ)]
-            v = d.vertex_of[p]
-            if v not in names:
-                names[v] = len(names) + 1
-            role = "O" if d.is_over(p) else "U"
-            sgn = "+" if d.sign(v) > 0 else "-"
-            toks.append(f"{role}{names[v]}{sgn}")
-        parts.append(" ".join(toks))
-    parts.extend("*" * d.free_loops)
-    return " / ".join(parts)
+def _pass_tables(d: Diagram) -> list[list[tuple[int, str, str]]]:
+    """Per strand circuit, one ``(vertex, role, sign)`` triple per pass,
+    role ``"O"``/``"U"`` and sign ``"+"``/``"-"``, read once per diagram.
+
+    Circuit entries are pass in-darts, so a vertex's two entries are its
+    over-in and under-in darts, which give :meth:`Diagram.sign`."""
+    vertex_of, over_pair, sigma = d.vertex_of, d.over_pair, d.sigma
+    over_in = [0] * d.n_vertices
+    under_in = [0] * d.n_vertices
+    roles = []
+    for circ in d.strand_circuits:
+        row = []
+        for p in circ:
+            v = vertex_of[p]
+            if p in over_pair[v]:
+                over_in[v] = p
+                row.append((v, "O"))
+            else:
+                under_in[v] = p
+                row.append((v, "U"))
+        roles.append(row)
+    sign = ["+" if sigma[o] == u else "-" for o, u in zip(over_in, under_in)]
+    return [[(v, role, sign[v]) for v, role in row] for row in roles]
+
+
+def _least_serialization(d: Diagram, every_choice: bool) -> str:
+    """The least signed Gauss string over component orders and starting
+    passes, crossings renumbered by first traversal.
+
+    With ``every_choice`` the minimum runs over every component order and
+    every starting pass; otherwise the only choice is circuit order with
+    least-dart starts.  Choices are explored depth first, one component
+    at a time, and a branch is dropped as soon as its emitted prefix is
+    larger than the same prefix of the best string so far.  Every
+    serialization of a diagram has the same length (each crossing name
+    occurs twice in all of them), so a larger prefix never completes to
+    a smaller string and the pruning never changes the result.
+    """
+    tables = _pass_tables(d)
+    loops = " / ".join("*" * d.free_loops)
+    if not tables:
+        return loops
+    labels = [str(i) for i in range(1, d.n_vertices + 1)]
+    name_of: list[str | None] = [None] * d.n_vertices
+    named_order = [0] * d.n_vertices
+    parts: list[str] = []
+    best = None
+
+    def extend(remaining: list[int], pos: int, tied: bool, n_named: int) -> None:
+        # parts is a prefix of length pos; tied means it equals best[:pos],
+        # otherwise it is smaller or there is no best yet
+        nonlocal best
+        if not remaining:
+            if not tied:
+                best = "".join(parts)
+            return
+        n_parts = len(parts)
+        lead = " / " if n_parts else ""
+        for k, ci in enumerate(remaining if every_choice else remaining[:1]):
+            rest = remaining[:k] + remaining[k + 1:]
+            row = tables[ci]
+            size = len(row)
+            cycle = row + row
+            for start in range(size if every_choice else 1):
+                named, at, same, sep = n_named, pos, tied, lead
+                for j in range(start, start + size):
+                    v, role, sgn = cycle[j]
+                    label = name_of[v]
+                    if label is None:
+                        label = name_of[v] = labels[named]
+                        named_order[named] = v
+                        named += 1
+                    piece = f"{sep}{role}{label}{sgn}"
+                    sep = " "
+                    if same and not best.startswith(piece, at):
+                        if piece > best[at:at + len(piece)]:
+                            break
+                        same = False
+                    at += len(piece)
+                    parts.append(piece)
+                else:
+                    before = best
+                    extend(rest, at, same, named)
+                    if best is not before:
+                        tied = True  # the new best extends this node's prefix
+                del parts[n_parts:]
+                for i in range(n_named, named):
+                    name_of[named_order[i]] = None
+
+    extend(list(range(len(tables))), 0, False, 0)
+    del extend  # the closure refers to itself; free it without the cycle collector
+    return f"{best} / {loops}" if loops else best
 
 
 def serialize_default(d: Diagram) -> str:
     """Deterministic traversal-order serialization (least-dart starts)."""
     require_valid(d)
-    c = len(d.strand_circuits)
-    return _serialize(d, tuple(range(c)), (0,) * c)
+    return _least_serialization(d, every_choice=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**17)
 def canonical_string(d: Diagram) -> str:
     """Isomorphism-invariant serialization.
 
     Two valid diagrams are isomorphic as decorated oriented maps iff
     their canonical strings are equal: the string is the lexicographic
     minimum of the traversal serializations over every component order
-    and every starting pass.
+    and every starting pass.  The search prunes a choice as soon as its
+    prefix exceeds the best string so far; pruning never changes the
+    result, which ``tests/oracles.naive_canonical_string`` recomputes by
+    listing every choice.  The cache holds up to 2**17 diagrams.
     """
     require_valid(d)
-    circuits = d.strand_circuits
-    c = len(circuits)
-    if c == 0:
-        return _serialize(d, (), ())
-    best = None
-    for comp_order in itertools.permutations(range(c)):
-        for starts in itertools.product(*(range(len(circuits[i])) for i in comp_order)):
-            s = _serialize(d, comp_order, starts)
-            if best is None or s < best:
-                best = s
-    return best
+    return _least_serialization(d, every_choice=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import Diagram, require_valid
+from .diagram import Diagram, DiagramError, require_valid
 from .surface import trace_faces
 
 PLAIN_KINDS = frozenset({"R1+", "R1-", "R2+", "R2-", "R3"})
@@ -483,13 +483,27 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
     raise MoveError(f"unknown move kind {site.kind!r}")
 
 
+def _site_applies(d: Diagram, site: MoveSite) -> bool:
+    """True when ``site`` is one that :func:`enumerate_moves` lists for ``d``.
+
+    The negative curl on a free loop is listed only beside R2+stab, so
+    an R1+ loop site is looked up with R2+stab requested as well.
+    """
+    kinds = {site.kind}
+    if site.kind == "R1+" and site.where[:1] == ("loop",):
+        kinds.add("R2+stab")
+    return site in enumerate_moves(d, kinds)
+
+
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     """Apply an enumerated site; rejects stale sites, returns a valid diagram."""
     require_valid(d)
-    if site not in enumerate_moves(d, {site.kind}):
+    if not _site_applies(d, site):
         raise MoveError(f"site {site} is not applicable")
     out = _apply_unchecked(d, site)
-    assert out.is_valid, f"move {site} produced an invalid diagram"
+    if not out.is_valid:
+        raise DiagramError(f"move {site} produced an invalid diagram: "
+                           + "; ".join(out.violations))
     return out
 
 

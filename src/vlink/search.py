@@ -19,13 +19,17 @@ from dataclasses import dataclass
 from .codec import parse_gauss, to_diagram
 from .diagram import Diagram, canonical_string, require_valid, stats
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
-from .moves import MoveSite, _apply_unchecked, enumerate_moves
+from .moves import MoveSite, _apply_unchecked, _site_applies, enumerate_moves
 from .surface import genus
 
 DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
     ("R3", dihedral_quandle(3)),
     ("R5", dihedral_quandle(5)),
 )
+
+
+class SearchError(RuntimeError):
+    """A path the search found did not replay; no verdict is returned."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def _replay(start_cs: str, path, end_cs: str) -> bool:
     cs = start_cs
     for site, expected in path:
         rep = _rep(cs)
-        if site not in enumerate_moves(rep, {site.kind}):
+        if not _site_applies(rep, site):
             return False
         result = _apply_unchecked(rep, site)
         if not result.is_valid or canonical_string(result) != expected:
@@ -245,7 +249,8 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
             return SearchOutcome("unknown", None, (), explored, True)
         path.append((inv, prev))
     path_t = tuple(path)
-    assert _replay(cs1, path_t, cs2), "equivalence path failed to replay"
+    if not _replay(cs1, path_t, cs2):
+        raise SearchError("equivalence path failed to replay")
     return SearchOutcome("equivalent", path_t, (), explored, truncated)
 
 

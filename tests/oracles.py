@@ -2,8 +2,9 @@
 
 Everything here recomputes from first principles: full 2^V state
 enumeration for the bracket, raw permutation orbits for faces, an
-explicit decorated-map isomorphism search, and exhaustive arc-coloring
-scans.  None of it shares code paths with the production algorithms.
+explicit decorated-map isomorphism search, exhaustive arc-coloring
+scans, and canonical strings emitted in full for every component order
+and start.  None of it shares code paths with the production algorithms.
 """
 
 from __future__ import annotations
@@ -73,6 +74,49 @@ def naive_faces(d: Diagram) -> list[tuple[int, ...]]:
         faces.append(tuple(cyc[k:] + cyc[:k]))
     faces.sort(key=lambda f: f[0])
     return faces
+
+
+def _serialize(d: Diagram, comp_order: tuple[int, ...], starts: tuple[int, ...]) -> str:
+    """Emit a signed Gauss string for one choice of component order and
+    starting pass per component; crossings renumbered by first traversal."""
+    names: dict[int, int] = {}
+    parts = []
+    for ci, si in zip(comp_order, starts):
+        circ = d.strand_circuits[ci]
+        toks = []
+        for j in range(len(circ)):
+            p = circ[(si + j) % len(circ)]
+            v = d.vertex_of[p]
+            if v not in names:
+                names[v] = len(names) + 1
+            role = "O" if d.is_over(p) else "U"
+            sgn = "+" if d.sign(v) > 0 else "-"
+            toks.append(f"{role}{names[v]}{sgn}")
+        parts.append(" ".join(toks))
+    parts.extend("*" * d.free_loops)
+    return " / ".join(parts)
+
+
+def naive_serialize_default(d: Diagram) -> str:
+    """Circuits in order, each from its least dart."""
+    c = len(d.strand_circuits)
+    return _serialize(d, tuple(range(c)), (0,) * c)
+
+
+def naive_canonical_string(d: Diagram) -> str:
+    """Lexicographic minimum of the serializations over every component
+    order and every starting pass, each one emitted in full."""
+    circuits = d.strand_circuits
+    c = len(circuits)
+    if c == 0:
+        return _serialize(d, (), ())
+    best = None
+    for comp_order in itertools.permutations(range(c)):
+        for starts in itertools.product(*(range(len(circuits[i])) for i in comp_order)):
+            s = _serialize(d, comp_order, starts)
+            if best is None or s < best:
+                best = s
+    return best
 
 
 def find_isomorphism(d1: Diagram, d2: Diagram):

@@ -12,12 +12,20 @@ from vlink.diagram import (
     canonical_string,
     disjoint_union,
     mirror,
+    relabel,
+    serialize_default,
     stats,
     validate,
 )
+from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
+from vlink.search import SearchBounds, orbit
 
-from helpers import random_diagram, random_diagrams
-from oracles import find_isomorphism
+from helpers import all_connected_diagrams, random_diagram, random_diagrams
+from oracles import (
+    find_isomorphism,
+    naive_canonical_string,
+    naive_serialize_default,
+)
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -127,3 +135,57 @@ def test_disjoint_union_stats_add():
         assert s.crossings == s1.crossings + s2.crossings
         assert s.components == s1.components + s2.components
         assert s.writhe == s1.writhe + s2.writhe
+
+
+def _relabelled(d: Diagram, rng: random.Random) -> Diagram:
+    order = list(range(d.n_vertices))
+    rng.shuffle(order)
+    return relabel(d, order)
+
+
+def _assert_matches_oracle(diagrams) -> int:
+    for d in diagrams:
+        assert canonical_string(d) == naive_canonical_string(d), naive_canonical_string(d)
+        assert serialize_default(d) == naive_serialize_default(d), naive_canonical_string(d)
+    return len(diagrams)
+
+
+def test_canonical_matches_oracle_on_corpora():
+    rng = random.Random(41)
+    corpus = all_connected_diagrams(3) + random_diagrams(43, 400, max_v=6)
+    corpus += [_relabelled(d, rng) for d in corpus]
+    assert _assert_matches_oracle(corpus) == 2 * (851 + 400)
+
+
+def test_canonical_matches_oracle_on_multicomponent_links():
+    rng = random.Random(47)
+    links = [d for d in random_diagrams(53, 600, max_v=6, max_comps=3, max_loops=2)
+             if len(d.strand_circuits) >= 2]
+    chain = to_diagram(parse_gauss(
+        "O1+ U2+ / U1+ O2+ O3- U4- / U3- O4- O5+ U6+ / U5+ O6+ / * / *"))
+    links += [chain, disjoint_union(TREFOIL, VT), disjoint_union(VT, disjoint_union(KINK, UNKNOT))]
+    links += [_relabelled(d, rng) for d in links]
+    assert any(len(d.strand_circuits) == 3 and d.free_loops for d in links)
+    assert _assert_matches_oracle(links) > 200
+
+
+def test_canonical_matches_oracle_on_orbit_states():
+    """States of capped cap-5 orbits, and the move results they are
+    labelled from, as the search produces them."""
+    rng = random.Random(59)
+    hopf = to_diagram(parse_gauss("O1+ U2+ / U1+ O2+"))
+    checked = 0
+    for start in (UNKNOT, VT, TREFOIL, hopf):
+        res = orbit(start, SearchBounds(5, max_states=30))
+        states = [to_diagram(parse_gauss(cs)) for cs in sorted(res.states)]
+        results = [_apply_unchecked(d, site) for d in states
+                   for site in enumerate_moves(d, ALL_KINDS)[::40]]
+        for d in states:
+            assert naive_canonical_string(d) in res.states
+        checked += _assert_matches_oracle(
+            states + [_relabelled(d, rng) for d in states] + results)
+    assert checked > 500
+
+
+def test_canonical_cache_is_bounded():
+    assert canonical_string.cache_info().maxsize == 2**17

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, Diagram, canonical_string, stats, validate
+import vlink.moves
+from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, stats, validate
 from vlink.moves import (
     ALL_KINDS,
     PLAIN_KINDS,
@@ -128,6 +129,26 @@ def test_stale_site_rejected():
         apply_move(TREFOIL, site)
     with pytest.raises(MoveError):
         apply_move(UNKNOT, MoveSite("R1-", (0,)))
+
+
+def test_negative_loop_curl_applies():
+    # offered only beside R2+stab, and apply_move accepts it on its own
+    site = MoveSite("R1+", ("loop", 0), "ro")
+    assert site not in enumerate_moves(UNKNOT, {"R1+"})
+    assert site in enumerate_moves(UNKNOT, {"R1+", "R2+stab"})
+    assert canonical_string(apply_move(UNKNOT, site)) == "O1- U1-"
+    with pytest.raises(MoveError):
+        apply_move(UNKNOT, MoveSite("R1+", ("loop", 1), "ro"))
+    with pytest.raises(MoveError):
+        apply_move(UNKNOT, MoveSite("R1+", ()))
+
+
+def test_invalid_move_result_raises(monkeypatch):
+    site = enumerate_moves(KINK, {"R1-"})[0]
+    broken = Diagram(KINK.rotations, KINK.edge_pair, ((0, 1),), KINK.inbound, 0)
+    monkeypatch.setattr(vlink.moves, "_apply_unchecked", lambda d, s: broken)
+    with pytest.raises(DiagramError, match="produced an invalid diagram"):
+        apply_move(KINK, site)
 
 
 def test_simplify_greedy():

@@ -5,9 +5,11 @@ import pytest
 from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
-from vlink.moves import enumerate_moves, _apply_unchecked
+import vlink.search
+from vlink.moves import apply_move, enumerate_moves, _apply_unchecked
 from vlink.search import (
     SearchBounds,
+    SearchError,
     classify_corpus,
     equivalent,
     invariant_table,
@@ -76,6 +78,25 @@ def test_equivalent_kink_unknot_path_replays():
         cur = _apply_unchecked(cur, site)
         assert canonical_string(cur) == expected
     assert canonical_string(cur) == canonical_string(UNKNOT)
+
+
+def test_equivalent_path_through_negative_loop_curl_replays():
+    # the path starts with the negative curl on the free loop, a site
+    # enumerate_moves lists only beside R2+stab
+    target = to_diagram(parse_gauss("O1+ U1+ O2- U2-"))
+    out = equivalent(UNKNOT, target, SearchBounds(4))
+    assert out.verdict == "equivalent"
+    cur = UNKNOT
+    for site, expected in out.path:
+        cur = apply_move(to_diagram(parse_gauss(canonical_string(cur))), site)
+        assert canonical_string(cur) == expected
+    assert canonical_string(cur) == canonical_string(target)
+
+
+def test_unreplayable_path_raises(monkeypatch):
+    monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
+    with pytest.raises(SearchError, match="failed to replay"):
+        equivalent(KINK, UNKNOT, SearchBounds(max_crossings=3, max_states=4000))
 
 
 def test_equivalent_distinguishes_trefoil_from_unknot_by_colorings():
