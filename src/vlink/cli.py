@@ -1,6 +1,7 @@
 """vlink command line: genus, equiv, minimize, classify.
 
-Exit codes for equiv: 0 equivalent, 1 distinguished, 2 unknown.
+Exit codes for equiv: 0 equivalent, 1 distinguished, 2 unknown.  Every
+command exits 3, with a one-line message, on input it cannot read.
 """
 
 from __future__ import annotations
@@ -146,7 +147,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_classify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as e:  # GaussCodeError and DiagramError are ValueErrors
+        print(f"vlink {args.command}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -129,27 +129,6 @@ def _smoothing_pairs(d: Diagram, v: int, kind: str) -> list[tuple[int, int]]:
     return [(o1, d.sigma[o1]), (o2, d.sigma[o2])]
 
 
-def _state_loops(d: Diagram, state: int) -> int:
-    """Circle count after smoothing every vertex (bit v of state: 0=A, 1=B)."""
-    sm = {}
-    for v in range(d.n_vertices):
-        for a, b in _smoothing_pairs(d, v, "B" if (state >> v) & 1 else "A"):
-            sm[a] = b
-            sm[b] = a
-    seen = set()
-    orbits = 0
-    for start in range(d.n_darts):
-        if start in seen:
-            continue
-        orbits += 1
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = sm[d.edge_pair[x]]
-    assert orbits % 2 == 0
-    return orbits // 2 + d.free_loops
-
-
 # Crossingless intermediate of the recursive bracket: an unoriented
 # partial diagram (rotations, edge involution, over pairs, free loops).
 _Partial = tuple
@@ -371,7 +350,7 @@ class Quandle:
         return self.table[x][y]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     n = len(table)
     inv = [[0] * n for _ in range(n)]
@@ -433,6 +412,8 @@ def load_quandle(lines) -> Quandle:
     if isinstance(lines, str):
         lines = lines.splitlines()
     rows = [ln.strip() for ln in lines if ln.strip()]
+    if not rows:
+        raise ValueError("empty quandle text")
     n = int(rows[0])
     table = tuple(tuple(int(x) for x in row.split()) for row in rows[1:n + 1])
     errs = check_quandle(table)

@@ -262,10 +262,6 @@ def _apply_r1_plus(d: Diagram, site: MoveSite) -> Diagram:
     return _grow(d, [(n0, n1, n2, n3)], [over], inbound, edges, free_delta)
 
 
-def _curl_sign(variant: str) -> int:
-    return 1 if variant in ("lo", "ru") else -1
-
-
 def _apply_r2_fold(d: Diagram, x: int, finger_over: bool) -> Diagram:
     """Push the side x forward over/under its own edge (nested fold)."""
     src, dst = _endpoints(d, x)
@@ -486,13 +482,13 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
 def _site_applies(d: Diagram, site: MoveSite) -> bool:
     """True when ``site`` is one that :func:`enumerate_moves` lists for ``d``.
 
-    The negative curl on a free loop is listed only beside R2+stab, so
-    an R1+ loop site is looked up with R2+stab requested as well.
+    A curl on a free loop is checked directly: ``enumerate_moves`` lists
+    the positive one, and beside R2+stab also the negative one.
     """
-    kinds = {site.kind}
     if site.kind == "R1+" and site.where[:1] == ("loop",):
-        kinds.add("R2+stab")
-    return site in enumerate_moves(d, kinds)
+        return (len(site.where) == 2 and site.where[1] in range(d.free_loops)
+                and site.variant in ("lo", "ro"))
+    return site in enumerate_moves(d, {site.kind})
 
 
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:

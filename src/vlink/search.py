@@ -14,6 +14,7 @@ inequivalence, and everything else is Unknown.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .codec import parse_gauss, to_diagram
@@ -81,53 +82,89 @@ def _rep(cs: str) -> Diagram:
     return to_diagram(parse_gauss(cs))
 
 
-def _kinds_for(v: int, bounds: SearchBounds) -> set[str]:
-    kinds = {"R1-", "R2-", "R3"}
-    if v + 1 <= bounds.max_crossings:
-        kinds.add("R1+")
-    if v + 2 <= bounds.max_crossings:
-        kinds.update(("R2+", "R2+stab"))
-    return kinds
+# crossings each move kind adds
+_GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 
 def _expand(rep: Diagram, bounds: SearchBounds):
-    """Deterministic (site, canonical result) successors within the crossing cap."""
-    for site in enumerate_moves(rep, _kinds_for(rep.n_vertices, bounds)):
-        result = _apply_unchecked(rep, site)
-        if result.n_vertices <= bounds.max_crossings:
-            yield site, canonical_string(result)
+    """Deterministic (site, result, canonical result) successors within the crossing cap."""
+    room = bounds.max_crossings - rep.n_vertices
+    kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
+    if room >= 1 and rep.free_loops:
+        kinds.add("R2+stab")  # enumerate_moves lists the negative loop curl only beside it
+    for site in enumerate_moves(rep, kinds):
+        if _GROWTH[site.kind] <= room:
+            result = _apply_unchecked(rep, site)
+            yield site, result, canonical_string(result)
 
 
-def _bfs_closure(start_cs: str, bounds: SearchBounds):
-    """Breadth-first closure; returns (visited set, parents, truncated).
+class _Budget:
+    """States and layers the searches sharing it may still add;
+    ``truncated`` records that one of them was refused."""
 
-    parents maps each reached state to (previous state, site applied on
-    the previous state's representative); the start maps to None.
+    def __init__(self, bounds: SearchBounds, starts: int):
+        self.bounds = bounds
+        self.states = math.inf if bounds.max_states is None else bounds.max_states - starts
+        self.layers = math.inf if bounds.max_depth is None else bounds.max_depth
+        self.truncated = False
+
+
+class _Search:
+    """Breadth-first search of the move graph from one state.
+
+    ``parents`` maps each reached state to (previous state, site applied
+    on the previous state's representative); the start maps to None.
+    Each layer expands the frontier in sorted order and successors in
+    ``_expand`` order, and the search stops at the first new state the
+    budget refuses.
     """
-    visited = {start_cs}
-    parents: dict[str, tuple[str, MoveSite] | None] = {start_cs: None}
-    frontier = [start_cs]
-    truncated = False
-    depth = 0
-    while frontier:
-        if bounds.max_depth is not None and depth >= bounds.max_depth:
-            truncated = True
-            break
-        next_frontier = []
-        for cs in sorted(frontier):
-            rep = _rep(cs)
-            for site, cs2 in _expand(rep, bounds):
-                if cs2 in visited:
+
+    def __init__(self, cs: str, budget: _Budget):
+        self.parents: dict[str, tuple[str, MoveSite] | None] = {cs: None}
+        self.frontier = [cs]
+        self.budget = budget
+
+    def layer(self):
+        """Expand the frontier by one move; yields each new (state, diagram)."""
+        budget = self.budget
+        if budget.layers <= 0:
+            budget.truncated = True
+            return
+        budget.layers -= 1
+        parents, frontier = self.parents, []
+        for cs in sorted(self.frontier):
+            for site, result, cs2 in _expand(_rep(cs), budget.bounds):
+                if cs2 in parents:
                     continue
-                if bounds.max_states is not None and len(visited) >= bounds.max_states:
-                    truncated = True
-                    continue
-                visited.add(cs2)
+                if budget.states <= 0:
+                    budget.truncated = True
+                    return
+                budget.states -= 1
                 parents[cs2] = (cs, site)
-                next_frontier.append(cs2)
-        frontier = next_frontier
-        depth += 1
-    return visited, parents, truncated
+                frontier.append(cs2)
+                yield cs2, result
+        self.frontier = frontier
+
+    def run(self):
+        """Every layer until the orbit closes or the budget runs out."""
+        while self.frontier and not self.budget.truncated:
+            yield from self.layer()
+
+
+def _path(parents, cs: str):
+    """The search's start and its (site, state) steps to ``cs``."""
+    steps = []
+    while parents[cs] is not None:
+        prev, site = parents[cs]
+        steps.append((site, cs))
+        cs = prev
+    return cs, steps[::-1]
+
+
+def _certify(parents, cs: str) -> None:
+    start, steps = _path(parents, cs)
+    if not _replay(start, steps, cs):
+        raise SearchError("equivalence path failed to replay")
 
 
 def orbit(d: Diagram, bounds: SearchBounds) -> OrbitResult:
@@ -135,8 +172,10 @@ def orbit(d: Diagram, bounds: SearchBounds) -> OrbitResult:
     exceeding the crossing cap; truncated marks depth or state exhaustion."""
     require_valid(d)
     bounds.check(d)
-    visited, _, truncated = _bfs_closure(canonical_string(d), bounds)
-    return OrbitResult(frozenset(visited), truncated, len(visited))
+    search = _Search(canonical_string(d), _Budget(bounds, 1))
+    for _ in search.run():
+        pass
+    return OrbitResult(frozenset(search.parents), search.budget.truncated, len(search.parents))
 
 
 def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, str], ...]:
@@ -161,27 +200,6 @@ def _replay(start_cs: str, path, end_cs: str) -> bool:
     return cs == end_cs
 
 
-def _chain_to(parents, cs: str) -> list[tuple[str, MoveSite, str]]:
-    """(previous, site, state) steps from the BFS root to ``cs``."""
-    steps = []
-    while parents[cs] is not None:
-        prev, site = parents[cs]
-        steps.append((prev, site, cs))
-        cs = prev
-    steps.reverse()
-    return steps
-
-
-def _invert_step(prev_cs: str, site: MoveSite, cs: str, bounds: SearchBounds):
-    """A site on cs's representative that moves back to prev_cs."""
-    rep = _rep(cs)
-    for cand in enumerate_moves(rep, _kinds_for(rep.n_vertices, bounds)):
-        result = _apply_unchecked(rep, cand)
-        if result.n_vertices <= bounds.max_crossings and canonical_string(result) == prev_cs:
-            return cand
-    return None
-
-
 def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
                quandles=DEFAULT_QUANDLES) -> SearchOutcome:
     """Equivalent (replayable path) / Distinguished (invariant mismatch,
@@ -198,60 +216,42 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
     if differs:
         return SearchOutcome("distinguished", None, differs, 2, False)
 
-    # bidirectional meet: expand the smaller frontier first
-    sides = {
-        "f": ({cs1: None}, [cs1]),
-        "b": ({cs2: None}, [cs2]),
-    }
-    parents_f, frontier_f = sides["f"]
-    parents_b, frontier_b = sides["b"]
-    truncated = False
-    depth = 0
+    # meet in the middle: expand the smaller frontier first, stop at the first meet
+    budget = _Budget(bounds, 2)
+    fwd, bwd = _Search(cs1, budget), _Search(cs2, budget)
     meet = None
-    while frontier_f and frontier_b and meet is None:
-        if bounds.max_depth is not None and depth >= bounds.max_depth:
-            truncated = True
-            break
-        if bounds.max_states is not None and len(parents_f) + len(parents_b) >= bounds.max_states:
-            truncated = True
-            break
-        if len(frontier_f) <= len(frontier_b):
-            parents, frontier, other = parents_f, frontier_f, parents_b
-        else:
-            parents, frontier, other = parents_b, frontier_b, parents_f
-        next_frontier = []
-        for cs in sorted(frontier):
-            rep = _rep(cs)
-            for site, cs_next in _expand(rep, bounds):
-                if cs_next in parents:
-                    continue
-                parents[cs_next] = (cs, site)
-                next_frontier.append(cs_next)
-                if cs_next in other:
-                    meet = cs_next
-                    break
-            if meet:
-                break
-        if parents is parents_f:
-            frontier_f = next_frontier
-        else:
-            frontier_b = next_frontier
-        depth += 1
+    while meet is None and fwd.frontier and bwd.frontier and not budget.truncated:
+        side, other = (fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier) else (bwd, fwd)
+        meet = next((cs for cs, _ in side.layer() if cs in other.parents), None)
 
-    explored = len(parents_f) + len(parents_b)
+    explored = len(fwd.parents) + len(bwd.parents)
     if meet is None:
-        return SearchOutcome("unknown", None, (), explored, True)
+        return SearchOutcome("unknown", None, (), explored, budget.truncated)
 
-    path = [(site, cs) for _, site, cs in _chain_to(parents_f, meet)]
-    for prev, site, cs in reversed(_chain_to(parents_b, meet)):
-        inv = _invert_step(prev, site, cs, bounds)
-        if inv is None:
-            return SearchOutcome("unknown", None, (), explored, True)
-        path.append((inv, prev))
+    path = _path(fwd.parents, meet)[1]
+    cs = meet
+    while bwd.parents[cs] is not None:
+        prev = bwd.parents[cs][0]
+        back = next((site for site, _, cs3 in _expand(_rep(cs), bounds) if cs3 == prev), None)
+        if back is None:
+            return SearchOutcome("unknown", None, (), explored, False)
+        path.append((back, prev))
+        cs = prev
     path_t = tuple(path)
     if not _replay(cs1, path_t, cs2):
         raise SearchError("equivalence path failed to replay")
-    return SearchOutcome("equivalent", path_t, (), explored, truncated)
+    return SearchOutcome("equivalent", path_t, (), explored, False)
+
+
+def _minimal_orbit(d: Diagram, bounds: SearchBounds):
+    """The search of ``d``'s orbit and its least (total genus, crossings,
+    canonical string), ranked on each diagram as the search built it."""
+    cs = canonical_string(d)
+    search = _Search(cs, _Budget(bounds, 1))
+    best = (genus(d).total, d.n_vertices, cs)
+    for cs2, d2 in search.run():
+        best = min(best, (genus(d2).total, d2.n_vertices, cs2))
+    return search, best
 
 
 def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:
@@ -259,20 +259,13 @@ def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:
     certified only when the bounded orbit closed without truncation."""
     require_valid(d)
     bounds.check(d)
-    visited, _, truncated = _bfs_closure(canonical_string(d), bounds)
-
-    def key(cs: str):
-        rep = _rep(cs)
-        return (genus(rep).total, rep.n_vertices, cs)
-
-    best = min(visited, key=key)
-    g, v, _ = key(best)
+    search, (g, v, best) = _minimal_orbit(d, bounds)
     return MinimizeResult(
         witness=_rep(best),
         total_genus=g,
         crossings=v,
-        certified=not truncated,
-        explored=len(visited),
+        certified=not search.budget.truncated,
+        explored=len(search.parents),
     )
 
 
@@ -281,7 +274,7 @@ class ClassifyReport:
     classes: tuple[tuple[str, ...], ...]          # canonical strings per class
     invariants: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
     witnesses: tuple[tuple[str, str], ...]        # class representative -> witness string
-    unresolved: tuple[tuple[str, str], ...]       # same-invariant pairs left unknown
+    unresolved: tuple[tuple[str, str], ...]       # representatives of same-invariant classes left apart
     violations: tuple[str, ...]
     explored: int
 
@@ -315,48 +308,54 @@ class ClassifyReport:
 
 def classify_corpus(diagrams, bounds: SearchBounds,
                     quandles=DEFAULT_QUANDLES) -> ClassifyReport:
-    """Partition a corpus by bounded equivalence search.
+    """Partition a corpus by bounded orbits.
 
-    Diagrams are deduplicated by canonical string, grouped by invariant
-    table, and groups are refined by pairwise search.  Pairs that share
-    invariants but neither meet nor split are reported unresolved.
+    Diagrams are deduplicated by canonical string and grouped by
+    invariant table.  In sorted order, a diagram that the orbit of an
+    earlier class of its group contains joins that class; any other
+    diagram gets one orbit search, which also yields its class's witness,
+    and joins every earlier class of its group whose orbit it meets.
+    Every merge is certified by replaying its paths.  Each pair of
+    classes left apart within a group is reported unresolved.
     """
     entries: dict[str, Diagram] = {}
     for d in diagrams:
         require_valid(d)
         entries.setdefault(canonical_string(d), d)
+    bounds.check(*entries.values())
     keys = sorted(entries)
     tables = {cs: invariant_table(entries[cs], quandles) for cs in keys}
 
-    parent = {cs: cs for cs in keys}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     explored = 0
-    unresolved = []
-    by_table: dict[tuple, list[str]] = {}
+    witness_of: dict[str, str] = {}
+    # per invariant table, its classes as (members, searches), least member first
+    groups: dict[tuple, list[tuple[list[str], list[_Search]]]] = {}
     for cs in keys:
-        by_table.setdefault(tables[cs], []).append(cs)
-    for group in by_table.values():
-        for a, b in itertools.combinations(group, 2):
-            if find(a) == find(b):
-                continue
-            outcome = equivalent(entries[a], entries[b], bounds, quandles)
-            explored += outcome.explored
-            if outcome.verdict == "equivalent":
-                parent[find(b)] = find(a)
-            elif outcome.verdict == "unknown":
-                unresolved.append((a, b))
+        group = groups.setdefault(tables[cs], [])
+        found = next(((cls, s) for cls in group for s in cls[1] if cs in s.parents), None)
+        if found is not None:
+            _certify(found[1].parents, cs)
+            found[0][0].append(cs)
+            continue
+        search, (_, _, witness_of[cs]) = _minimal_orbit(entries[cs], bounds)
+        explored += len(search.parents)
+        met = []
+        for cls in group:
+            meet = next(((s, m) for s in cls[1] for m in search.parents if m in s.parents), None)
+            if meet is not None:
+                _certify(meet[0].parents, meet[1])
+                _certify(search.parents, meet[1])
+                met.append(cls)
+        group.append(([cs], [search]))
+        # the earliest class met keeps its place and its least member
+        home, *rest = met + group[-1:]
+        for cls in rest:
+            home[0].extend(cls[0])
+            home[1].extend(cls[1])
+            group.remove(cls)
 
-    classes_map: dict[str, list[str]] = {}
-    for cs in keys:
-        classes_map.setdefault(find(cs), []).append(cs)
-    classes = tuple(tuple(sorted(v)) for v in
-                    sorted(classes_map.values(), key=lambda v: min(v)))
+    classes = tuple(sorted(tuple(sorted(members)) for group in groups.values()
+                           for members, _ in group))
 
     violations = []
     for cls in classes:
@@ -366,17 +365,12 @@ def classify_corpus(diagrams, bounds: SearchBounds,
                 violations.append(
                     f"equivalent diagrams with differing invariants: {cls[0]} vs {cs}")
 
-    witnesses = []
-    for cls in classes:
-        rep_cs = cls[0]
-        res = minimize(entries.get(rep_cs) or _rep(rep_cs), bounds)
-        witnesses.append((rep_cs, canonical_string(res.witness)))
-
     return ClassifyReport(
         classes=classes,
         invariants=tuple((cs, tables[cs]) for cs in keys),
-        witnesses=tuple(witnesses),
-        unresolved=tuple(unresolved),
+        witnesses=tuple((cls[0], witness_of[cls[0]]) for cls in classes),
+        unresolved=tuple((a[0][0], b[0][0]) for group in groups.values()
+                         for a, b in itertools.combinations(group, 2)),
         violations=tuple(violations),
         explored=explored,
     )

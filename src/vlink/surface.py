@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import Diagram, relabel, require_valid
+from .diagram import Diagram, DiagramError, relabel, require_valid
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ def complexity_measure(d: Diagram) -> int:
     g = genus(d).total
     n = len(d.strand_circuits) + d.free_loops
     c = len(d.graph_components) + d.free_loops
-    assert n >= c
+    if n < c:
+        raise DiagramError(f"{n} link components on {c} surface components")
     return g + n - c
 
 

@@ -4,15 +4,20 @@ Everything here recomputes from first principles: full 2^V state
 enumeration for the bracket, raw permutation orbits for faces, an
 explicit decorated-map isomorphism search, exhaustive arc-coloring
 scans, and canonical strings emitted in full for every component order
-and start.  None of it shares code paths with the production algorithms.
+and start.  None of it shares code paths with the production algorithms,
+except that the search oracles take their successors from the production
+move set, ``vlink.search._expand``: they pin the breadth-first loop, the
+budget and the ranking, not the moves.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from vlink.diagram import Diagram
+from vlink.diagram import Diagram, canonical_string
 from vlink.invariants import DELTA, LaurentPoly, Quandle
+from vlink.search import _expand, _rep
+from vlink.surface import genus
 
 
 def naive_bracket(d: Diagram) -> LaurentPoly:
@@ -165,3 +170,47 @@ def naive_colorings(d: Diagram, q: Quandle) -> int:
                for ai, ao, au in constraints):
             count += 1
     return count
+
+
+def _bfs_closure(start_cs: str, bounds):
+    """Layer-by-layer closure that keeps expanding after the state budget
+    is spent and discards what it finds; returns (visited, truncated)."""
+    visited = {start_cs}
+    frontier = [start_cs]
+    truncated = False
+    depth = 0
+    while frontier:
+        if bounds.max_depth is not None and depth >= bounds.max_depth:
+            truncated = True
+            break
+        next_frontier = []
+        for cs in sorted(frontier):
+            for _, _, cs2 in _expand(_rep(cs), bounds):
+                if cs2 in visited:
+                    continue
+                if bounds.max_states is not None and len(visited) >= bounds.max_states:
+                    truncated = True
+                    continue
+                visited.add(cs2)
+                next_frontier.append(cs2)
+        frontier = next_frontier
+        depth += 1
+    return visited, truncated
+
+
+def naive_orbit(d: Diagram, bounds):
+    """(states, truncated, explored) of the bounded orbit."""
+    visited, truncated = _bfs_closure(canonical_string(d), bounds)
+    return frozenset(visited), truncated, len(visited)
+
+
+def naive_minimize(states, truncated: bool):
+    """(witness string, total genus, crossings, certified, explored) of an
+    orbit, each state ranked on its re-parsed representative."""
+
+    def key(cs: str):
+        rep = _rep(cs)
+        return (genus(rep).total, rep.n_vertices, cs)
+
+    g, v, best = min(key(cs) for cs in states)
+    return best, g, v, not truncated, len(states)

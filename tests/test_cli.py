@@ -13,6 +13,13 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def run_cli_err(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -100,3 +107,31 @@ def test_quandle_file_argument(files, tmp_path):
                          "--max-states", "200", "--quandles", str(qfile)])
     assert code == 1
     assert f"invariant: colorings[{qfile}]" in out
+
+
+@pytest.mark.parametrize("text", ["O1+ U2+\n", "O1+ U1-\n", "O1+ * U1+\n", "3\n"])
+def test_unreadable_input_exits_3(files, tmp_path, text):
+    bad = tmp_path / "bad.gauss"
+    bad.write_text(text)
+    for argv in (["equiv", str(bad), files["unknot.gauss"]], ["genus", str(bad)],
+                 ["minimize", str(bad)], ["classify", str(bad)]):
+        code, out, err = run_cli_err(argv)
+        assert code == 3, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"vlink {argv[0]}: ")
+
+
+def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):
+    code, _, err = run_cli_err(["equiv", str(tmp_path / "absent.gauss"), files["unknot.gauss"]])
+    assert code == 3 and len(err.splitlines()) == 1
+    empty = tmp_path / "empty.quandle"
+    empty.write_text("")
+    code, _, err = run_cli_err(["equiv", files["trefoil.gauss"], files["unknot.gauss"],
+                                "--quandles", str(empty)])
+    assert code == 3 and len(err.splitlines()) == 1
+
+
+def test_search_bounds_below_input_exit_3(files):
+    code, _, err = run_cli_err(["minimize", files["trefoil.gauss"], "--max-crossings", "2"])
+    assert code == 3
+    assert "above max_crossings=2" in err

@@ -129,6 +129,9 @@ def test_quandle_load_format():
     assert q == R3Q
     with pytest.raises(ValueError):
         load_quandle("2\n1 1\n0 0\n")
+    for text in ("", "\n \n", "3\n0 2 1\n"):
+        with pytest.raises(ValueError):
+            load_quandle(text)
 
 
 def test_coloring_counts():

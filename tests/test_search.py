@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
-from vlink.moves import apply_move, enumerate_moves, _apply_unchecked
+from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked, _site_applies
 from vlink.search import (
     SearchBounds,
     SearchError,
@@ -18,7 +19,8 @@ from vlink.search import (
 )
 from vlink.surface import genus
 
-from helpers import random_diagram
+from helpers import all_connected_diagrams, random_diagram, random_diagrams
+from oracles import naive_minimize, naive_orbit
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -52,6 +54,36 @@ def test_orbit_vt_cap2_is_isolated_and_nonclassical():
     assert res.states == frozenset({canonical_string(VT)})
     for cs in res.states:
         assert genus(to_diagram(parse_gauss(cs))).total > 0
+
+
+@pytest.fixture(scope="module")
+def corpus_v3():
+    return all_connected_diagrams(3)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_orbit_and_minimize_match_layered_closure(corpus_v3, closed):
+    # closed orbits, each checked once from its first member, then state and
+    # depth budgets that cut orbits short
+    seen: set[str] = set()
+    truncated = 0
+    for d in corpus_v3:
+        if canonical_string(d) in seen:
+            continue
+        cap = max(d.n_vertices, 1)
+        budgets = [SearchBounds(cap, max_states=None)] if closed else [
+            SearchBounds(cap + 1, max_states=10), SearchBounds(cap, max_depth=1, max_states=None)]
+        for bounds in budgets:
+            res = orbit(d, bounds)
+            states, trunc, explored = naive_orbit(d, bounds)
+            assert (res.states, res.truncated, res.explored) == (states, trunc, explored)
+            m = minimize(d, bounds)
+            got = (canonical_string(m.witness), m.total_genus, m.crossings, m.certified, m.explored)
+            assert got == naive_minimize(states, trunc)
+            truncated += res.truncated
+            if closed:
+                seen.update(res.states)
+    assert truncated == 0 if closed else truncated >= 800
 
 
 def test_orbit_truncation_flag():
@@ -91,6 +123,43 @@ def test_equivalent_path_through_negative_loop_curl_replays():
         cur = apply_move(to_diagram(parse_gauss(canonical_string(cur))), site)
         assert canonical_string(cur) == expected
     assert canonical_string(cur) == canonical_string(target)
+
+
+def test_equivalent_symmetric_at_crossing_cap():
+    neg = to_diagram(parse_gauss("O1- U1-"))
+    for a, b in ((UNKNOT, neg), (neg, UNKNOT)):
+        assert equivalent(a, b, SearchBounds(1)).verdict == "equivalent"
+    assert orbit(UNKNOT, SearchBounds(1)).states == orbit(neg, SearchBounds(1)).states
+
+
+@pytest.mark.parametrize("max_states", [5, 20, 50])
+def test_equivalent_budget_is_exact(max_states):
+    out = equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=max_states))
+    assert out.explored <= max_states
+    assert out.truncated == (out.verdict == "unknown")
+
+
+def test_unknown_is_untruncated_when_an_orbit_closes(monkeypatch):
+    # without invariants to split them, the trefoil's cap-3 orbit closes
+    # without reaching the unknot
+    monkeypatch.setattr(vlink.search, "invariant_table", lambda *args: ())
+    out = equivalent(TREFOIL, UNKNOT, SearchBounds(3))
+    assert out.verdict == "unknown"
+    assert not out.truncated
+
+
+def test_loop_curl_check_matches_enumeration():
+    checked = 0
+    for d in random_diagrams(29, 40, max_v=3, max_loops=2):
+        if not d.free_loops:
+            continue
+        listed = set(enumerate_moves(d, {"R1+", "R2+stab"}))
+        for i in range(d.free_loops + 1):
+            for variant in ("lo", "lu", "ro", "ru"):
+                site = MoveSite("R1+", ("loop", i), variant)
+                assert _site_applies(d, site) == (site in listed)
+                checked += 1
+    assert checked >= 100
 
 
 def test_unreplayable_path_raises(monkeypatch):
@@ -175,6 +244,34 @@ def test_classify_one_class():
     assert len(report.classes) == 1
     assert report.violations == ()
     assert report.unresolved == ()
+
+
+def test_classify_merges_when_orbits_meet():
+    bounds = SearchBounds(max_crossings=3, max_states=10)
+    # the unknot's truncated orbit lacks the doubled kink; the two orbits meet
+    assert canonical_string(DOUBLED) not in orbit(UNKNOT, bounds).states
+    report = classify_corpus([DOUBLED, UNKNOT], bounds)
+    assert report.classes == ((canonical_string(UNKNOT), canonical_string(DOUBLED)),)
+    assert report.unresolved == ()
+    assert report.witnesses == ((canonical_string(UNKNOT), canonical_string(UNKNOT)),)
+
+
+def test_classify_reports_one_unresolved_pair_per_class_pair():
+    bounds = SearchBounds(max_crossings=3, max_states=1)
+    report = classify_corpus([UNKNOT, KINK, DOUBLED], bounds)
+    reps = [cls[0] for cls in report.classes]
+    assert len(reps) == 3
+    assert report.unresolved == tuple(itertools.combinations(reps, 2))
+
+
+def test_classify_merge_that_fails_to_replay_raises(monkeypatch):
+    monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
+    bounds = SearchBounds(max_crossings=3, max_states=10)
+    assert len(classify_corpus([UNKNOT, TREFOIL], bounds).classes) == 2
+    # a merge by containment, then one by meeting orbits
+    for corpus in ([UNKNOT, KINK], [UNKNOT, DOUBLED]):
+        with pytest.raises(SearchError, match="failed to replay"):
+            classify_corpus(corpus, bounds)
 
 
 def test_classify_three_classes():

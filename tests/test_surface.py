@@ -1,7 +1,9 @@
 import random
 
+import pytest
+
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, canonical_string, disjoint_union, mirror
+from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, disjoint_union, mirror
 from vlink.surface import (
     build_surface,
     complexity_measure,
@@ -76,6 +78,15 @@ def test_complexity_measure():
     split = to_diagram(parse_gauss("O1+ U2+ U1+ O2+ / *"))
     # g + n - c with the free loop on its own sphere
     assert complexity_measure(split) == genus(split).total + 2 - 2
+
+
+def test_complexity_measure_rejects_fewer_links_than_surfaces():
+    class NoCircuits(Diagram):
+        strand_circuits = ()
+
+    d = NoCircuits(TREFOIL.rotations, TREFOIL.edge_pair, TREFOIL.over_pair, TREFOIL.inbound)
+    with pytest.raises(DiagramError, match="0 link components on 1 surface"):
+        complexity_measure(d)
 
 
 def test_split_components():
