@@ -1,7 +1,8 @@
 """vlink command line: genus, equiv, minimize, classify.
 
 Exit codes for equiv: 0 equivalent, 1 distinguished, 2 unknown.  Every
-command exits 3, with a one-line message, on input it cannot read.
+command exits 3, with a one-line message, on input it cannot read: bad
+arguments, unreadable files, or a diagram above the state-sum cap.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from .codec import emit_gauss, from_diagram, parse_gauss, to_diagram
 from .diagram import Diagram
-from .invariants import Quandle, dihedral_quandle, load_quandle
+from .invariants import Quandle, StateSumLimitError, dihedral_quandle, load_quandle
 from .search import (
     DEFAULT_QUANDLES,
     SearchBounds,
@@ -21,6 +22,13 @@ from .search import (
     minimize,
 )
 from .surface import build_surface
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 with one line, not argparse's 2 ("unknown")."""
+
+    def error(self, message):
+        self.exit(3, f"{self.prog}: {message}\n")
 
 
 def _read_diagram(path: str) -> Diagram:
@@ -122,7 +130,7 @@ def cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vlink", description="virtual link diagrams: genus, equivalence, invariants")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -149,7 +157,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:  # GaussCodeError and DiagramError are ValueErrors
+    # GaussCodeError and DiagramError are ValueErrors
+    except (ValueError, OSError, StateSumLimitError) as e:
         print(f"vlink {args.command}: {e}", file=sys.stderr)
         return 3
 

@@ -6,9 +6,14 @@ joins each over dart to its counterclockwise *predecessor* and the
 B-smoothing to its successor.  With this choice the positive kink
 "O1+ U1+" has bracket -A^3.
 
-Loops of a smoothing state are counted on the abstract map: the state
-pairing composed with the edge involution walks each state circle twice
-(once per direction), so the circle count is half the orbit count.
+State circles live on the abstract map: they alternate smoothing joins
+and edges.  The bracket is one frontier (path-decomposition) state sum,
+after Burton's fixed-parameter HOMFLY-PT algorithm and Regina's
+treewidth Jones polynomial: vertices are added one at a time, and the
+partial circles crossing the frontier are tracked as a pairing of the
+open darts, so the cost grows with the frontier width rather than with
+2^V.  ``tests/oracles.naive_bracket`` is the 2^V enumeration it is
+checked against.
 """
 
 from __future__ import annotations
@@ -109,8 +114,6 @@ class LaurentPoly:
         return head + "".join(f" {s} {m}" for s, m in parts[1:])
 
 
-A = LaurentPoly.monomial(1)
-A_INV = LaurentPoly.monomial(-1)
 DELTA = LaurentPoly.from_dict({2: -1, -2: -1})  # -A^2 - A^-2
 MINUS_A_CUBED = LaurentPoly.monomial(3, -1)
 MINUS_A_CUBED_INV = LaurentPoly.monomial(-3, -1)
@@ -129,190 +132,36 @@ def _smoothing_pairs(d: Diagram, v: int, kind: str) -> list[tuple[int, int]]:
     return [(o1, d.sigma[o1]), (o2, d.sigma[o2])]
 
 
-# Crossingless intermediate of the recursive bracket: an unoriented
-# partial diagram (rotations, edge involution, over pairs, free loops).
-_Partial = tuple
-
-
-def _partial_of(d: Diagram) -> _Partial:
-    return (d.rotations, d.edge_pair, d.over_pair, d.free_loops)
-
-
-def _partial_smooth(p: _Partial, v: int, kind: str) -> _Partial:
-    """Remove vertex v, rejoining its darts by the A/B pairing.
-
-    Orientation is not maintained (B-smoothings break it), which is why
-    this works on the reduced tuple rather than on Diagram values.
-    """
-    rotations, edge, over, loops = p
-    sigma = {}
-    for rot in rotations:
-        for i, x in enumerate(rot):
-            sigma[x] = rot[(i + 1) % 4]
-    o1, o2 = over[v]
-    if kind == "A":
-        join = {sigma[sigma[sigma[o1]]]: o1, sigma[sigma[sigma[o2]]]: o2}
-    else:
-        join = {o1: sigma[o1], o2: sigma[o2]}
-    join.update({b: a for a, b in join.items()})
-    gone = set(rotations[v])
-
-    def walk(x: int) -> int:
-        # follow the strand through the smoothed vertex until it re-emerges
-        while x in gone:
-            x = edge[join[x]]
-        return x
-
-    new_loops = loops
-    internal = set()
-    for x in gone:
-        if x in internal:
-            continue
-        # a circle wholly inside the smoothed vertex
-        y = edge[join[x]]
-        circle = {x}
-        while y in gone and y not in circle:
-            circle.add(y)
-            y = edge[join[y]]
-        if y in circle:
-            internal |= circle
-            internal |= {join[z] for z in circle}
-            new_loops += 1
-    kept = [w for w in range(len(rotations)) if w != v]
-    dart_map = {}
-    for nw, w in enumerate(kept):
-        for i, x in enumerate(rotations[w]):
-            dart_map[x] = 4 * nw + i
-    n = 4 * len(kept)
-    new_edge = [0] * n
-    for w in kept:
-        for x in rotations[w]:
-            new_edge[dart_map[x]] = dart_map[walk(edge[x])]
-    new_rot = tuple(tuple(range(4 * w, 4 * w + 4)) for w in range(len(kept)))
-    new_over = tuple(tuple(sorted((dart_map[a], dart_map[b]))) for w, (a, b) in enumerate(over) if w != v)
-    return (new_rot, tuple(new_edge), new_over, new_loops)
-
-
-def _partial_canon(p: _Partial) -> tuple:
-    """Relabelling-invariant key for memoising the bracket recursion.
-
-    Per connected component, the key is the least signature over all
-    rooted deterministic traversals (neighbour order: sigma, then edge);
-    components are sorted.  Equal keys mean isomorphic partials.
-    """
-    rotations, edge, over, loops = p
-    if not rotations:
-        return ("loops", loops)
-    vert: dict[int, int] = {}
-    sigma: dict[int, int] = {}
-    for v, rot in enumerate(rotations):
-        for i, x in enumerate(rot):
-            vert[x] = v
-            sigma[x] = rot[(i + 1) % 4]
-    over_flag = {x: x in over[vert[x]] for x in vert}
-
-    def rooted_sig(start: int) -> tuple:
-        new = {start: 0}
-        order = [start]
-        i = 0
-        while i < len(order):
-            x = order[i]
-            i += 1
-            for y in (sigma[x], edge[x]):
-                if y not in new:
-                    new[y] = len(order)
-                    order.append(y)
-        return tuple((new[sigma[x]], new[edge[x]], over_flag[x]) for x in order)
-
-    comps = []
-    remaining = set(vert)
-    while remaining:
-        stack = [min(remaining)]
-        comp = set()
-        while stack:
-            x = stack.pop()
-            if x not in comp:
-                comp.add(x)
-                stack.extend((sigma[x], edge[x]))
-        comps.append(min(rooted_sig(s) for s in sorted(comp)))
-        remaining -= comp
-    return (loops, tuple(sorted(comps)))
-
-
-def _bracket_enumerate(d: Diagram) -> LaurentPoly:
-    """Iterative state sum: Gray-code state flips keep the smoothing
-    table incremental, and states are tallied by (exponent, loop count)
-    so each delta power is expanded only once."""
-    v = d.n_vertices
-    n = d.n_darts
-    pairs = [(_smoothing_pairs(d, w, "A"), _smoothing_pairs(d, w, "B")) for w in range(v)]
-    sm = [0] * n
-    for w in range(v):
-        for a, b in pairs[w][0]:
-            sm[a] = b
-            sm[b] = a
-    edge = d.edge_pair
-    tally: dict[tuple[int, int], int] = {}
-    state = 0
-    for step in range(1 << v):
-        if step:
-            flip = (step & -step).bit_length() - 1
-            state ^= 1 << flip
-            for a, b in pairs[flip][1 if (state >> flip) & 1 else 0]:
-                sm[a] = b
-                sm[b] = a
-        seen = bytearray(n)
-        orbits = 0
-        for start in range(n):
-            if not seen[start]:
-                orbits += 1
-                x = start
-                while not seen[x]:
-                    seen[x] = 1
-                    x = sm[edge[x]]
-        loops = orbits // 2 + d.free_loops
-        exp = v - 2 * bin(state).count("1")
-        key = (exp, loops)
-        tally[key] = tally.get(key, 0) + 1
-    delta_pow: dict[int, LaurentPoly] = {}
-    total = LaurentPoly.zero()
-    for (exp, loops), mult in sorted(tally.items()):
-        if loops - 1 not in delta_pow:
-            delta_pow[loops - 1] = DELTA ** (loops - 1)
-        total = total + LaurentPoly.monomial(exp, mult) * delta_pow[loops - 1]
-    return total
-
-
-# crossing counts where the iterative enumeration beats the memoized
-# recursion; above it, isomorphic intermediates start repeating
-_ENUMERATE_THRESHOLD = 12
-_MEMO_THRESHOLD = 8
-
-
-def _bracket_recursive(p: _Partial, memo: dict) -> LaurentPoly:
-    rotations, edge, over, loops = p
-    if not rotations:
-        return DELTA ** (loops - 1) if loops else LaurentPoly.one()
-    key = None
-    if len(rotations) >= _MEMO_THRESHOLD:
-        key = _partial_canon(p)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    va = _bracket_recursive(_partial_smooth(p, 0, "A"), memo)
-    vb = _bracket_recursive(_partial_smooth(p, 0, "B"), memo)
-    out = A * va + A_INV * vb
-    if key is not None:
-        memo[key] = out
-    return out
+def _vertex_order(d: Diagram) -> list[int]:
+    """Greedy low-cutwidth order: next is the vertex with the most darts
+    joined to vertices already placed, ties to the least index."""
+    edge, vertex_of = d.edge_pair, d.vertex_of
+    links = [0] * d.n_vertices
+    left = set(range(d.n_vertices))
+    order = []
+    while left:
+        v = max(left, key=lambda w: (links[w], -w))
+        left.discard(v)
+        order.append(v)
+        for x in d.rotations[v]:
+            links[vertex_of[edge[x]]] += 1
+    return order
 
 
 def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPoly:
     """Kauffman bracket, normalized so the unknot gives 1.
 
-    Small diagrams run the incremental state enumeration; larger ones a
-    recursive smoothing with memoization on relabelling classes of the
-    intermediates.  Both agree with the naive 2^V state enumeration.
+    A frontier state sum.  Vertices are added in :func:`_vertex_order`;
+    the open frontier darts are those of placed vertices whose edge
+    partner is not yet placed.  Each DP state is a pairing of the
+    frontier darts (the two ends of one partial state circle), stored as
+    a sorted tuple of pairs, and maps to a tally {(exponent, closed
+    loops): multiplicity}.  Adding a vertex under its A- or B-smoothing
+    walks the paths through the new joins, giving the new pairing and
+    the circles that closed.  The pairings are arbitrary, not only
+    non-crossing, as virtual diagrams need.  Cost is exponential in the
+    frontier width, not in the crossing count; powers of delta are
+    expanded once at the end.
     """
     require_valid(d)
     if d.n_vertices > max_crossings:
@@ -320,9 +169,63 @@ def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPo
             f"{d.n_vertices} crossings exceeds the state-sum cap {max_crossings}")
     if d.n_vertices == 0 and d.free_loops == 0:
         return LaurentPoly.one()
-    if d.n_vertices <= _ENUMERATE_THRESHOLD:
-        return _bracket_enumerate(d)
-    return _bracket_recursive(_partial_of(d), {})
+    edge, vertex_of = d.edge_pair, d.vertex_of
+    placed = [False] * d.n_vertices
+    frontier: set[int] = set()
+    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    for v in _vertex_order(d):
+        placed[v] = True
+        rot = d.rotations[v]
+        frontier = {x for x in frontier if vertex_of[edge[x]] != v}
+        frontier.update(x for x in rot if not placed[vertex_of[edge[x]]])
+        ends = sorted(frontier)
+        joins = []
+        for kind, shift in (("A", 1), ("B", -1)):
+            (a, b), (c, e) = _smoothing_pairs(d, v, kind)
+            joins.append(({a: b, b: a, c: e, e: c}, shift))
+        nxt: dict[tuple, dict[tuple[int, int], int]] = {}
+        for pairing, tally in states.items():
+            mate = dict(pairing)
+            mate.update((b, a) for a, b in pairing)
+            for join, shift in joins:
+                mate.update(join)  # both smoothings join all four darts of v
+                # walk each open path to its other end, then any closed circle
+                seen = set()
+                pairs = []
+                for s in ends:
+                    if s not in seen:
+                        y = mate[s]
+                        while y not in frontier:
+                            seen.add(y)
+                            y = edge[y]
+                            seen.add(y)
+                            y = mate[y]
+                        seen.add(y)
+                        pairs.append((s, y))
+                closed = 0
+                for x in rot:
+                    if x not in seen and x not in frontier:
+                        closed += 1
+                        y = x
+                        while y not in seen:
+                            seen.add(y)
+                            y = edge[y]
+                            seen.add(y)
+                            y = mate[y]
+                out = nxt.setdefault(tuple(pairs), {})
+                for (exp, loops), mult in tally.items():
+                    key = (exp + shift, loops + closed)
+                    out[key] = out.get(key, 0) + mult
+        states = nxt
+    coeffs: dict[int, int] = {}
+    delta_pow: dict[int, LaurentPoly] = {}
+    for (exp, loops), mult in states[()].items():
+        k = loops + d.free_loops - 1
+        if k not in delta_pow:
+            delta_pow[k] = DELTA ** k
+        for e, c in delta_pow[k].coeffs:
+            coeffs[exp + e] = coeffs.get(exp + e, 0) + mult * c
+    return LaurentPoly.from_dict(coeffs)
 
 
 def f_poly(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPoly:

@@ -179,11 +179,16 @@ def orbit(d: Diagram, bounds: SearchBounds) -> OrbitResult:
 
 
 def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, str], ...]:
-    """Named invariant values used for Distinguished verdicts, as strings."""
+    """Named invariant values used for Distinguished verdicts, as strings.
+
+    ``f_poly`` is computed first so that a diagram above the state-sum
+    cap fails before any coloring count is spent on it.
+    """
+    f = str(f_poly(d))
     rows = [("components", str(stats(d).components))]
     for name, q in quandles:
         rows.append((f"colorings[{name}]", str(quandle_colorings(d, q))))
-    rows.append(("f_poly", str(f_poly(d))))
+    rows.append(("f_poly", f))
     return tuple(rows)
 
 

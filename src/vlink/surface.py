@@ -75,7 +75,7 @@ def build_surface(d: Diagram) -> RibbonSurface:
         f = sum(1 for face in faces if d.vertex_of[face[0]] in vset)
         chi = v - e + f
         if chi % 2:
-            raise AssertionError(f"odd Euler characteristic {chi} on component {comp}")
+            raise DiagramError(f"odd Euler characteristic {chi} on component {comp}")
         genus.append((2 - chi) // 2)
     return RibbonSurface(
         faces=faces,

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import time
 
 import pytest
 
@@ -119,6 +120,34 @@ def test_unreadable_input_exits_3(files, tmp_path, text):
         assert code == 3, argv
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"vlink {argv[0]}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "{u}", "{u}", "--max-states", "x"],
+    ["equiv", "{u}"],
+    ["classify", "{u}", "--no-such-option"],
+    ["bogus"],
+    [],
+])
+def test_usage_errors_exit_3(files, argv):
+    argv = [a.format(u=files["unknot.gauss"]) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("vlink")
+
+
+def test_state_sum_cap_exits_3(files, tmp_path):
+    # T(2,21): 21 crossings, one above the bracket's cap
+    torus = tmp_path / "t221.gauss"
+    torus.write_text(" ".join(f"{'OU'[k % 2]}{k % 21 + 1}+" for k in range(42)) + "\n")
+    for argv in (["equiv", str(torus), files["unknot.gauss"]], ["classify", str(torus)]):
+        t0 = time.perf_counter()
+        code, out, err = run_cli_err(argv)
+        assert time.perf_counter() - t0 < 10
+        assert code == 3 and out == ""
+        assert err == f"vlink {argv[0]}: 21 crossings exceeds the state-sum cap 20\n"
 
 
 def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, disjoint_union, mirror, stats
+from vlink.diagram import UNKNOT, disjoint_union, mirror, relabel, stats
 from vlink.invariants import (
     DELTA,
     LaurentPoly,
@@ -26,6 +26,13 @@ TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
 KINK_POS = to_diagram(parse_gauss("O1+ U1+"))
 KINK_NEG = to_diagram(parse_gauss("O1- U1-"))
+KNOT_13 = to_diagram(parse_gauss(
+    "U2- O13+ U4+ U13+ O2- U7- O3+ U5- U3+ U1+ O11+ U9+ O12- "
+    "U10+ O10+ O9+ U6- O5- O7- O4+ O6- U12- U8+ U11+ O1+ O8+"))
+KNOT_10A = to_diagram(parse_gauss(
+    "U6- U3- O2+ O3- O10+ U1- O8- U2+ O1- O6- U9- U4- U5- O4- U10+ O5- O7+ U8- O9- U7+"))
+KNOT_10B = to_diagram(parse_gauss(
+    "O6- O10- U3- O8- O4+ U1- U5+ O5+ U4+ O2+ U6- O1- U10- O3- U2+ U7- O7- U8- O9- U9-"))
 R3Q = dihedral_quandle(3)
 R5Q = dihedral_quandle(5)
 
@@ -65,6 +72,15 @@ def test_bracket_matches_naive_enumerator():
         assert bracket(d) == naive_bracket(d)
     for d in (TREFOIL, VT, KINK_POS, KINK_NEG):
         assert bracket(d) == naive_bracket(d)
+    # above the size where the bracket once switched engines; shuffled
+    # vertex numberings change the greedy frontier order
+    expected = naive_bracket(KNOT_13)
+    assert bracket(KNOT_13) == expected
+    rng = random.Random(13)
+    for _ in range(4):
+        order = list(range(KNOT_13.n_vertices))
+        rng.shuffle(order)
+        assert bracket(relabel(KNOT_13, order)) == expected
 
 
 def test_bracket_mirror_substitution():
@@ -81,6 +97,10 @@ def test_bracket_disjoint_union_rule():
         d2 = random_diagram(rng, max_v=3)
         assert bracket(disjoint_union(d1, d2)) == DELTA * bracket(d1) * bracket(d2)
         assert naive_bracket(disjoint_union(d1, d2)) == DELTA * bracket(d1) * bracket(d2)
+    # 20 crossings, at the state-sum cap
+    union = disjoint_union(KNOT_10A, KNOT_10B)
+    assert union.n_vertices == 20
+    assert bracket(union) == DELTA * naive_bracket(KNOT_10A) * naive_bracket(KNOT_10B)
 
 
 def test_bracket_cap():

@@ -89,6 +89,15 @@ def test_complexity_measure_rejects_fewer_links_than_surfaces():
         complexity_measure(d)
 
 
+def test_build_surface_rejects_odd_euler_characteristic(monkeypatch):
+    import vlink.surface as surface
+
+    faces = trace_faces(TREFOIL)
+    monkeypatch.setattr(surface, "_faces", lambda d: tuple(faces[:-1]))
+    with pytest.raises(DiagramError, match="odd Euler characteristic 1"):
+        build_surface(TREFOIL)
+
+
 def test_split_components():
     assert [canonical_string(x) for x in split_components(TREFOIL)] == [canonical_string(TREFOIL)]
     du = disjoint_union(VT, TREFOIL)
