@@ -6,6 +6,11 @@ refer to the representative's labels and every path replays.  The move
 set here includes R2+stab, the stabilizing addition across distinct
 faces, without which genus-changing transitions would be unreachable.
 
+Each distinct state's successors, and its minimize rank, are computed
+once per process and kept in bounded memos (``_successors``, ``_rank``)
+that every search shares.  Replay does not use them: it re-derives each
+step from a freshly parsed representative.
+
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
 inequivalence, and everything else is Unknown.
@@ -13,6 +18,7 @@ inequivalence, and everything else is Unknown.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,16 +92,68 @@ def _rep(cs: str) -> Diagram:
 _GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 
-def _expand(rep: Diagram, bounds: SearchBounds):
-    """Deterministic (site, result, canonical result) successors within the crossing cap."""
-    room = bounds.max_crossings - rep.n_vertices
+def _expand(rep: Diagram, max_crossings: int):
+    """Deterministic (site, result, canonical result) successors within the
+    crossing cap.  The negative curl on a free loop, which
+    ``enumerate_moves`` lists only beside R2+stab, is offered whenever R1+
+    fits, so every kink removal stays invertible at the cap."""
+    room = max_crossings - rep.n_vertices
     kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
-    if room >= 1 and rep.free_loops:
-        kinds.add("R2+stab")  # enumerate_moves lists the negative loop curl only beside it
-    for site in enumerate_moves(rep, kinds):
-        if _GROWTH[site.kind] <= room:
-            result = _apply_unchecked(rep, site)
-            yield site, result, canonical_string(result)
+    sites = enumerate_moves(rep, kinds)
+    if room == 1 and rep.free_loops:  # R1+ fits, R2+stab does not
+        sites += [MoveSite("R1+", ("loop", i), "ro") for i in range(rep.free_loops)]
+        sites.sort(key=MoveSite.sort_key)
+    for site in sites:
+        result = _apply_unchecked(rep, site)
+        yield site, result, canonical_string(result)
+
+
+class _Listing:
+    """``_expand``'s (site, canonical result) pairs for one state, computed
+    only as far as some search has read them: a search whose budget runs
+    out part-way through a state's successors builds no more of them than
+    it reads.  The sites refer to the labels of ``_rep(cs)``, which is
+    deterministic."""
+
+    def __init__(self, cs: str, max_crossings: int):
+        self._cs, self._cap = cs, max_crossings
+        self._read: list[tuple[MoveSite, str]] = []
+        self._rest = _expand(_rep(cs), max_crossings)
+
+    def __iter__(self):
+        read, i = self._read, 0
+        while True:
+            if i == len(read):
+                try:
+                    step = next(self._rest, None)
+                except BaseException:
+                    # an expansion that raised (or was interrupted) resumes
+                    # after the pairs already read instead of ending early
+                    self._rest = itertools.islice(
+                        _expand(_rep(self._cs), self._cap), len(read), None)
+                    raise
+                if step is None:
+                    return
+                read.append((step[0], step[2]))
+            yield read[i]
+            i += 1
+
+
+# distinct states whose successors (per crossing cap) and ranks are kept
+_MEMO_SIZE = 2**12
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _successors(cs: str, max_crossings: int) -> _Listing:
+    return _Listing(cs, max_crossings)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _rank(cs: str) -> tuple[int, int, str]:
+    """(total genus, crossings, canonical string) of a state; genus and
+    crossings do not change under isomorphism."""
+    rep = _rep(cs)
+    return genus(rep).total, rep.n_vertices, cs
 
 
 class _Budget:
@@ -115,8 +173,8 @@ class _Search:
     ``parents`` maps each reached state to (previous state, site applied
     on the previous state's representative); the start maps to None.
     Each layer expands the frontier in sorted order and successors in
-    ``_expand`` order, and the search stops at the first new state the
-    budget refuses.
+    ``_successors`` order, and the search stops at the first new state
+    the budget refuses.
     """
 
     def __init__(self, cs: str, budget: _Budget):
@@ -125,15 +183,15 @@ class _Search:
         self.budget = budget
 
     def layer(self):
-        """Expand the frontier by one move; yields each new (state, diagram)."""
+        """Expand the frontier by one move; yields each new state."""
         budget = self.budget
         if budget.layers <= 0:
             budget.truncated = True
             return
         budget.layers -= 1
-        parents, frontier = self.parents, []
+        parents, frontier, cap = self.parents, [], budget.bounds.max_crossings
         for cs in sorted(self.frontier):
-            for site, result, cs2 in _expand(_rep(cs), budget.bounds):
+            for site, cs2 in _successors(cs, cap):
                 if cs2 in parents:
                     continue
                 if budget.states <= 0:
@@ -142,7 +200,7 @@ class _Search:
                 budget.states -= 1
                 parents[cs2] = (cs, site)
                 frontier.append(cs2)
-                yield cs2, result
+                yield cs2
         self.frontier = frontier
 
     def run(self):
@@ -227,7 +285,7 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
     meet = None
     while meet is None and fwd.frontier and bwd.frontier and not budget.truncated:
         side, other = (fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier) else (bwd, fwd)
-        meet = next((cs for cs, _ in side.layer() if cs in other.parents), None)
+        meet = next((cs for cs in side.layer() if cs in other.parents), None)
 
     explored = len(fwd.parents) + len(bwd.parents)
     if meet is None:
@@ -237,7 +295,8 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
     cs = meet
     while bwd.parents[cs] is not None:
         prev = bwd.parents[cs][0]
-        back = next((site for site, _, cs3 in _expand(_rep(cs), bounds) if cs3 == prev), None)
+        back = next((site for site, cs3 in _successors(cs, bounds.max_crossings)
+                     if cs3 == prev), None)
         if back is None:
             return SearchOutcome("unknown", None, (), explored, False)
         path.append((back, prev))
@@ -250,13 +309,11 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
 
 def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     """The search of ``d``'s orbit and its least (total genus, crossings,
-    canonical string), ranked on each diagram as the search built it."""
-    cs = canonical_string(d)
-    search = _Search(cs, _Budget(bounds, 1))
-    best = (genus(d).total, d.n_vertices, cs)
-    for cs2, d2 in search.run():
-        best = min(best, (genus(d2).total, d2.n_vertices, cs2))
-    return search, best
+    canonical string)."""
+    search = _Search(canonical_string(d), _Budget(bounds, 1))
+    for _ in search.run():
+        pass
+    return search, min(map(_rank, search.parents))
 
 
 def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:
@@ -321,7 +378,9 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     diagram gets one orbit search, which also yields its class's witness,
     and joins every earlier class of its group whose orbit it meets.
     Every merge is certified by replaying its paths.  Each pair of
-    classes left apart within a group is reported unresolved.
+    classes left apart within a group is reported unresolved, and each
+    corpus member of another group that a class's orbit reaches is
+    reported as a violation.
     """
     entries: dict[str, Diagram] = {}
     for d in diagrams:
@@ -362,13 +421,17 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     classes = tuple(sorted(tuple(sorted(members)) for group in groups.values()
                            for members, _ in group))
 
+    # an orbit that reaches a member of another invariant group would
+    # refute an invariant; such a member is certified and reported
     violations = []
-    for cls in classes:
-        base = tables[cls[0]]
-        for cs in cls[1:]:
-            if tables[cs] != base:
-                violations.append(
-                    f"equivalent diagrams with differing invariants: {cls[0]} vs {cs}")
+    for table, group in groups.items():
+        for members, searches in group:
+            for cs in (k for k in keys if tables[k] != table):
+                s = next((s for s in searches if cs in s.parents), None)
+                if s is not None:
+                    _certify(s.parents, cs)
+                    violations.append(
+                        f"equivalent diagrams with differing invariants: {members[0]} vs {cs}")
 
     return ClassifyReport(
         classes=classes,
@@ -376,6 +439,6 @@ def classify_corpus(diagrams, bounds: SearchBounds,
         witnesses=tuple((cls[0], witness_of[cls[0]]) for cls in classes),
         unresolved=tuple((a[0][0], b[0][0]) for group in groups.values()
                          for a, b in itertools.combinations(group, 2)),
-        violations=tuple(violations),
+        violations=tuple(sorted(violations)),
         explored=explored,
     )

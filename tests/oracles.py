@@ -185,7 +185,7 @@ def _bfs_closure(start_cs: str, bounds):
             break
         next_frontier = []
         for cs in sorted(frontier):
-            for _, _, cs2 in _expand(_rep(cs), bounds):
+            for _, _, cs2 in _expand(_rep(cs), bounds.max_crossings):
                 if cs2 in visited:
                     continue
                 if bounds.max_states is not None and len(visited) >= bounds.max_states:

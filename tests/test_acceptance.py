@@ -59,6 +59,7 @@ def exhaustive_corpus():
     return all_connected_diagrams(3)
 
 
+@pytest.mark.slow
 def test_criterion_1_move_invariance(random_corpus):
     """f_poly and R3/R5 colorings unchanged by every enumerated move;
     bracket changes by exactly -A^(+-3) under R1."""
@@ -133,6 +134,7 @@ def _check_orbit_consistency(states, bounds, minimize_budget):
     return len(members)
 
 
+@pytest.mark.slow
 def test_criterion_4_unique_representative_consistency(exhaustive_corpus):
     """Unique-representative consistency: within every fully closed orbit,
     all members share invariants and the same minimal witness.

@@ -9,8 +9,13 @@ from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
 from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked, _site_applies
 from vlink.search import (
+    _GROWTH,
     SearchBounds,
     SearchError,
+    _expand,
+    _rank,
+    _rep,
+    _successors,
     classify_corpus,
     equivalent,
     invariant_table,
@@ -162,6 +167,123 @@ def test_loop_curl_check_matches_enumeration():
     assert checked >= 100
 
 
+def test_expand_lists_loop_curls_without_r2stab():
+    # the listing _expand replaced: R2+stab requested one crossing below the
+    # cap only for its negative loop curls, everything else filtered out
+    checked = 0
+    for d in random_diagrams(31, 60, max_v=3, max_loops=2):
+        if not d.free_loops:
+            continue
+        for room in range(4):
+            kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
+            if room >= 1:
+                kinds.add("R2+stab")
+            old = [site for site in enumerate_moves(d, kinds) if _GROWTH[site.kind] <= room]
+            assert [site for site, _, _ in _expand(d, d.n_vertices + room)] == old
+            checked += room == 1
+    assert checked >= 20
+
+
+def _clear_memos():
+    _successors.cache_clear()
+    _rank.cache_clear()
+
+
+def _pairs(cs: str, cap: int) -> list:
+    """The (site, canonical result) successors of ``cs``, without the memo."""
+    return [(site, cs2) for site, _, cs2 in _expand(_rep(cs), cap)]
+
+
+def test_results_do_not_depend_on_memo_state():
+    def run():
+        return (orbit(TREFOIL, SearchBounds(5, max_states=150)),
+                orbit(UNKNOT, SearchBounds(3, max_states=None)),
+                minimize(DOUBLED, SearchBounds(4, max_states=300)),
+                equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=300)),
+                classify_corpus([UNKNOT, KINK, DOUBLED, VT], SearchBounds(4, max_states=80)))
+
+    _clear_memos()
+    cold = run()
+    assert run() == cold
+    _clear_memos()
+    assert run() == cold
+
+
+def test_orbit_and_minimize_match_oracle_after_other_caps_warm_the_memo(corpus_v3):
+    # the oracle expands without the memo; the searches under test read
+    # successors that searches at the same and at larger caps stored first
+    _clear_memos()
+    for d in corpus_v3[::10]:
+        cap = max(d.n_vertices, 1)
+        orbit(d, SearchBounds(cap, max_states=5))
+        orbit(d, SearchBounds(cap + 1, max_states=40))
+        minimize(d, SearchBounds(cap + 2, max_states=10))
+        bounds = SearchBounds(cap, max_states=None)
+        res = orbit(d, bounds)
+        states, trunc, explored = naive_orbit(d, bounds)
+        assert (res.states, res.truncated, res.explored) == (states, trunc, explored)
+        m = minimize(d, bounds)
+        got = (canonical_string(m.witness), m.total_genus, m.crossings, m.certified, m.explored)
+        assert got == naive_minimize(states, trunc)
+    assert _successors.cache_info().hits > 0
+
+
+def test_successors_are_kept_per_crossing_cap():
+    cs = canonical_string(DOUBLED)  # two crossings: one of room at cap 3, two at cap 4
+    fresh = {cap: _pairs(cs, cap) for cap in (3, 4)}
+    assert set(fresh[3]) < set(fresh[4])
+    for caps in ((3, 4), (4, 3)):
+        _clear_memos()
+        for cap in caps:
+            assert list(_successors(cs, cap)) == fresh[cap]
+    assert _successors.cache_info().currsize == 2
+
+
+def test_successors_are_computed_as_far_as_read(monkeypatch):
+    cs = canonical_string(DOUBLED)
+    fresh = _pairs(cs, 4)
+    applied = []
+    real = vlink.search._apply_unchecked
+    monkeypatch.setattr(vlink.search, "_apply_unchecked",
+                        lambda d, site: applied.append(site) or real(d, site))
+    _clear_memos()
+    listing = _successors(cs, 4)
+    first = iter(listing)
+    assert [next(first), next(first)] == fresh[:2]
+    assert len(applied) == 2
+    # a second reader gets the pairs read so far without recomputing them,
+    # then reads on; the first resumes where it stopped
+    assert next(itertools.islice(listing, 1, None)) == fresh[1]
+    assert len(applied) == 2
+    assert list(first) == fresh[2:]
+    assert list(listing) == fresh
+    assert len(applied) == len(fresh)
+
+
+def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
+    cs = canonical_string(DOUBLED)
+    fresh = _pairs(cs, 4)
+    real = vlink.search._apply_unchecked
+    applied = []
+
+    def interrupt_third(d, site):
+        applied.append(site)
+        if len(applied) == 3:
+            raise KeyboardInterrupt
+        return real(d, site)
+
+    monkeypatch.setattr(vlink.search, "_apply_unchecked", interrupt_third)
+    _clear_memos()
+    with pytest.raises(KeyboardInterrupt):
+        list(_successors(cs, 4))
+    assert list(_successors(cs, 4)) == fresh
+
+
+def test_memos_are_bounded():
+    assert _successors.cache_info().maxsize == 2**12
+    assert _rank.cache_info().maxsize == 2**12
+
+
 def test_unreplayable_path_raises(monkeypatch):
     monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
     with pytest.raises(SearchError, match="failed to replay"):
@@ -244,6 +366,32 @@ def test_classify_one_class():
     assert len(report.classes) == 1
     assert report.violations == ()
     assert report.unresolved == ()
+
+
+def test_classify_reports_a_reachable_member_with_other_invariants(monkeypatch):
+    real = invariant_table
+    # a wrong table for the kink, which the unknot's orbit reaches
+    monkeypatch.setattr(vlink.search, "invariant_table",
+                        lambda d, *args: (("fake", "1"),) if d.n_vertices == 1 else real(d, *args))
+    report = classify_corpus([UNKNOT, KINK], SearchBounds(max_crossings=3, max_states=4000))
+    unknot, kink = canonical_string(UNKNOT), canonical_string(KINK)
+    assert len(report.classes) == 2
+    assert (f"equivalent diagrams with differing invariants: {unknot} vs {kink}"
+            in report.violations)
+    assert "violations: none" not in report.to_text()
+
+
+def test_classify_reuses_successors_of_overlapping_orbits():
+    bounds = SearchBounds(max_crossings=3, max_states=200)
+    _clear_memos()
+    cold = classify_corpus([KINK, DOUBLED], bounds)
+    _clear_memos()
+    classify_corpus([UNKNOT, VT], bounds)
+    hits = _successors.cache_info().hits
+    # the unknot's orbit is the kink's
+    assert classify_corpus([KINK, DOUBLED], bounds) == cold
+    assert _successors.cache_info().hits > hits
+    assert _rank.cache_info().hits > 0
 
 
 def test_classify_merges_when_orbits_meet():
