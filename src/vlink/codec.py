@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import Diagram, require_valid, serialize_default
+from .diagram import _N, _S, _W, EMPTY, Diagram, _insert, require_valid, serialize_default
 
 
 class GaussCodeError(ValueError):
@@ -140,40 +140,16 @@ def to_diagram(code: SignedGaussCode) -> Diagram:
     """
     _validate_code(code.components, code.free_loops)
     vertex: dict[int, int] = {}
-    sign: dict[int, int] = {}
+    outs = []
     for comp in code.components:
         for tok in comp:
             if tok.index not in vertex:
                 vertex[tok.index] = len(vertex)
-                sign[tok.index] = tok.sign
-    nv = len(vertex)
-    edge = [-1] * (4 * nv)
-
-    def pass_darts(tok: Token) -> tuple[int, int]:
-        v = vertex[tok.index]
-        if tok.role == "O":
-            return 4 * v, 4 * v + 2
-        if sign[tok.index] > 0:
-            return 4 * v + 1, 4 * v + 3
-        return 4 * v + 3, 4 * v + 1
-
-    for comp in code.components:
-        darts = [pass_darts(t) for t in comp]
-        for (inb_a, out_a), (inb_b, _) in zip(darts, darts[1:] + darts[:1]):
-            edge[out_a] = inb_b
-            edge[inb_b] = out_a
-
-    inbound = [False] * (4 * nv)
-    for idx, v in vertex.items():
-        inbound[4 * v] = True
-        inbound[4 * v + 1 if sign[idx] > 0 else 4 * v + 3] = True
-    return require_valid(Diagram(
-        rotations=tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(nv)),
-        edge_pair=tuple(edge),
-        over_pair=tuple((4 * v, 4 * v + 2) for v in range(nv)),
-        inbound=tuple(inbound),
-        free_loops=code.free_loops,
-    ))
+                outs.append((_W, _S) if tok.sign > 0 else (_W, _N))
+    # each component is a closed run; pass 0 is the over pass, pass 1 (True) the under
+    runs = [(None, [(vertex[t.index], t.role == "U") for t in comp], None)
+            for comp in code.components]
+    return require_valid(_insert(EMPTY, outs, runs, [0] * len(outs), code.free_loops))
 
 
 def from_diagram(d: Diagram) -> SignedGaussCode:
@@ -211,8 +187,10 @@ def diagram_from_json(obj: dict) -> Diagram:
         edge = tuple(int(x) for x in obj["edge_involution"])
         over_under = obj["over_under"]
         free_loops = int(obj["free_loops"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GaussCodeError(f"malformed diagram JSON: {exc}") from None
+    if not isinstance(over_under, list):
+        raise GaussCodeError("over_under must be a list")
     if any(len(rot) != 4 for rot in rotations):
         raise GaussCodeError("vertex_rotations entries must have length 4")
     if n != 4 * len(rotations):
@@ -223,7 +201,7 @@ def diagram_from_json(obj: dict) -> Diagram:
         try:
             o_in, u_in = int(entry["over_in"]), int(entry["under_in"])
             o_out = int(entry["over_out"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GaussCodeError(f"malformed over_under entry: {exc}") from None
         if not (0 <= o_in < n and 0 <= u_in < n):
             raise GaussCodeError("over_under names a dart out of range")

@@ -261,22 +261,65 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
 def relabel(d: Diagram, vertex_order: list[int]) -> Diagram:
     """Rebuild ``d`` with vertices renumbered along ``vertex_order`` and
     dart ``4v+i`` being position ``i`` of the new rotation of vertex ``v``."""
-    dart_map: dict[int, int] = {}
-    for new_v, old_v in enumerate(vertex_order):
-        for i, dart in enumerate(d.rotations[old_v]):
-            dart_map[dart] = 4 * new_v + i
-    rotations = tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(len(vertex_order)))
-    n = 4 * len(vertex_order)
-    edge = [0] * n
-    inbound = [False] * n
-    over = [(0, 0)] * len(vertex_order)
-    for old, new in dart_map.items():
-        edge[new] = dart_map[d.edge_pair[old]]
-        inbound[new] = d.inbound[old]
-    for new_v, old_v in enumerate(vertex_order):
-        a, b = d.over_pair[old_v]
-        over[new_v] = tuple(sorted((dart_map[a], dart_map[b])))
-    return Diagram(rotations, tuple(edge), tuple(over), tuple(inbound), d.free_loops)
+    old = [x for v in vertex_order for x in d.rotations[v]]  # old dart at each new one
+    dart_map = {x: i for i, x in enumerate(old)}
+    edge_pair, inbound = d.edge_pair, d.inbound
+    over = []
+    for v in vertex_order:
+        a, b = d.over_pair[v]
+        over.append(tuple(sorted((dart_map[a], dart_map[b]))))
+    return Diagram(
+        rotations=tuple(tuple(range(x, x + 4)) for x in range(0, len(old), 4)),
+        edge_pair=tuple([dart_map[edge_pair[x]] for x in old]),
+        over_pair=tuple(over),
+        inbound=tuple([inbound[x] for x in old]),
+        free_loops=d.free_loops,
+    )
+
+
+_E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
+
+
+def _insert(d: Diagram, outs, runs, over, free_delta: int = 0) -> Diagram:
+    """Append ``len(outs)`` crossings to ``d`` and thread strands through them.
+
+    New crossing ``c`` owns darts ``d.n_darts + 4c + angle`` for the
+    compass angles ``_E, _N, _W, _S``, counterclockwise.
+    ``outs[c]`` gives the angles of the out darts of its passes 0 and 1;
+    each pass enters on the dart opposite its out dart (``out ^ 2``), and
+    ``over[c]`` names the pass on top.  Each run ``(src, passes, dst)``
+    threads one strand from out dart ``src`` of ``d`` through the
+    ``(crossing, pass)`` list into in dart ``dst`` of ``d``; a run with
+    ``None`` ends closes on itself.  Every new pass lies on one run.
+    """
+    base = d.n_darts
+    k = len(outs)
+    edge = list(d.edge_pair) + [0] * (4 * k)
+    inbound = list(d.inbound) + [False] * (4 * k)
+    for src, passes, dst in runs:
+        if src is None:  # closed: the last pass feeds the first
+            c, p = passes[-1]
+            src = base + 4 * c + outs[c][p]
+        for c, p in passes:
+            out = base + 4 * c + outs[c][p]
+            edge[src] = out ^ 2
+            edge[out ^ 2] = src
+            inbound[out ^ 2] = True
+            src = out
+        if dst is not None:
+            edge[src] = dst
+            edge[dst] = src
+    over_pair = []
+    for c, p in enumerate(over):
+        x = base + 4 * c + (outs[c][p] & 1)
+        over_pair.append((x, x + 2))
+    return Diagram(
+        rotations=d.rotations + tuple(tuple(range(x, x + 4)) for x in range(base, base + 4 * k, 4)),
+        edge_pair=tuple(edge),
+        over_pair=d.over_pair + tuple(over_pair),
+        inbound=tuple(inbound),
+        free_loops=d.free_loops + free_delta,
+    )
 
 
 def _pass_tables(d: Diagram) -> list[list[tuple[int, str, str]]]:

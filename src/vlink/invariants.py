@@ -249,9 +249,6 @@ class Quandle:
     def size(self) -> int:
         return len(self.table)
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
 
 @lru_cache(maxsize=64)
 def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -318,7 +315,11 @@ def load_quandle(lines) -> Quandle:
     if not rows:
         raise ValueError("empty quandle text")
     n = int(rows[0])
-    table = tuple(tuple(int(x) for x in row.split()) for row in rows[1:n + 1])
+    if n < 1:
+        raise ValueError(f"quandle size {n} is below 1")
+    if len(rows) - 1 != n:
+        raise ValueError(f"quandle text has {len(rows) - 1} rows, expected {n}")
+    table = tuple(tuple(int(x) for x in row.split()) for row in rows[1:])
     errs = check_quandle(table)
     if errs:
         raise ValueError("not a quandle: " + "; ".join(errs[:3]))

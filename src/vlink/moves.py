@@ -19,9 +19,13 @@ Pattern dictionary (faces are orbits of sigma o alpha, see vlink.surface):
   also covers attaching free loops, crossing an edge over its own other
   side through a handle, and folding a free loop through a handle.
 
-New-crossing rotations are assembled from strand compass directions in
-the local picture, counterclockwise = increasing angle with the face
-walk on the right.
+Every new crossing is appended by :func:`vlink.diagram._insert`.  In
+the local picture (face walk on the right) crossing ``c`` owns darts
+``n_darts + 4c + angle`` at the compass angles east, north, west, south,
+counterclockwise.  A builder names the angles of its two passes' out
+darts and which pass is over; each pass enters on the dart opposite its
+out dart.  Strands are threaded as runs from an existing out dart to an
+existing in dart, or as closed runs for free loops.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import Diagram, DiagramError, require_valid
+from .diagram import _E, _N, _S, _W, Diagram, DiagramError, _insert, relabel, require_valid
 from .surface import trace_faces
 
 PLAIN_KINDS = frozenset({"R1+", "R1-", "R2+", "R2-", "R3"})
@@ -174,56 +178,18 @@ def _excise(d: Diagram, removed: frozenset[int]) -> Diagram:
     extra = sum(1 for circ in d.strand_circuits
                 if all(d.vertex_of[p] in removed for p in circ))
     kept = [v for v in range(d.n_vertices) if v not in removed]
-    dart_map: dict[int, int] = {}
-    for nv, v in enumerate(kept):
-        for i, x in enumerate(d.rotations[v]):
-            dart_map[x] = 4 * nv + i
-    n = 4 * len(kept)
-    edge = [0] * n
-    inbound = [False] * n
+    edge = list(d.edge_pair)
     for v in kept:
         for x in d.rotations[v]:
-            inbound[dart_map[x]] = d.inbound[x]
             if d.inbound[x]:
                 continue
             z = d.edge_pair[x]
             while d.vertex_of[z] in removed:
                 z = d.edge_pair[d.opposite[z]]
-            edge[dart_map[x]] = dart_map[z]
-            edge[dart_map[z]] = dart_map[x]
-    return Diagram(
-        rotations=tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(len(kept))),
-        edge_pair=tuple(edge),
-        over_pair=tuple(tuple(sorted((dart_map[a], dart_map[b])))
-                        for v, (a, b) in enumerate(d.over_pair) if v not in removed),
-        inbound=tuple(inbound),
-        free_loops=d.free_loops + extra,
-    )
-
-
-def _grow(d: Diagram, new_rotations, new_over, new_inbound, edges, free_delta=0) -> Diagram:
-    """Append new vertices and rewrite edges.
-
-    ``new_rotations``/``new_over`` describe the appended vertices;
-    ``new_inbound`` maps new darts to flags; ``edges`` lists (out, in)
-    pairs that overwrite both endpoints.
-    """
-    k = len(new_rotations)
-    n = d.n_darts + 4 * k
-    edge = list(d.edge_pair) + [0] * (4 * k)
-    inbound = list(d.inbound) + [False] * (4 * k)
-    for dart, flag in new_inbound.items():
-        inbound[dart] = flag
-    for a, b in edges:
-        edge[a] = b
-        edge[b] = a
-    return Diagram(
-        rotations=d.rotations + tuple(new_rotations),
-        edge_pair=tuple(edge),
-        over_pair=d.over_pair + tuple(tuple(sorted(p)) for p in new_over),
-        inbound=tuple(inbound),
-        free_loops=d.free_loops + free_delta,
-    )
+            edge[x] = z
+            edge[z] = x
+    rerouted = Diagram(d.rotations, tuple(edge), d.over_pair, d.inbound, d.free_loops + extra)
+    return relabel(rerouted, kept)
 
 
 def _endpoints(d: Diagram, dart: int) -> tuple[int, int]:
@@ -232,190 +198,61 @@ def _endpoints(d: Diagram, dart: int) -> tuple[int, int]:
     return (other, dart) if d.inbound[dart] else (dart, other)
 
 
-_E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
-
-
-def _cross(roles_at_angles: dict[int, str], base: int) -> tuple[tuple[int, ...], dict[str, int]]:
-    """Rotation tuple (counterclockwise from angle 0) for a new vertex whose
-    darts play the given roles at the given compass angles."""
-    rot = tuple(base + a for a in range(4))
-    names = {roles_at_angles[a]: base + a for a in range(4)}
-    return rot, names
-
-
 def _apply_r1_plus(d: Diagram, site: MoveSite) -> Diagram:
-    left = site.variant[0] == "l"      # second pass enters at slot 1, else slot 3
-    over1 = site.variant[1] == "o"     # first pass carries the overstrand
-    base = d.n_darts
-    n0, n1, n2, n3 = base, base + 1, base + 2, base + 3
-    s_in = n1 if left else n3
-    s_out = n3 if left else n1
-    inbound = {n0: True, n2: False, s_in: True, s_out: False}
-    over = (n0, n2) if over1 else (n1, n3)
+    """A curl: the strand enters from the east and re-enters from the north
+    (``l``) or the south (``r``); ``o`` puts the first pass on top."""
+    outs = [(_W, _S if site.variant[0] == "l" else _N)]
+    over = [0 if site.variant[1] == "o" else 1]
     if site.where[0] == "loop":
-        edges = [(n2, s_in), (s_out, n0)]
-        free_delta = -1
-    else:
-        src, dst = _endpoints(d, site.where[0])
-        edges = [(src, n0), (n2, s_in), (s_out, dst)]
-        free_delta = 0
-    return _grow(d, [(n0, n1, n2, n3)], [over], inbound, edges, free_delta)
+        return _insert(d, outs, [(None, [(0, 0), (0, 1)], None)], over, free_delta=-1)
+    src, dst = _endpoints(d, site.where[0])
+    return _insert(d, outs, [(src, [(0, 0), (0, 1)], dst)], over)
 
 
 def _apply_r2_fold(d: Diagram, x: int, finger_over: bool) -> Diagram:
     """Push the side x forward over/under its own edge (nested fold)."""
     src, dst = _endpoints(d, x)
-    aligned = not d.inbound[x]
-    base = d.n_darts
-    if aligned:  # strand runs with the face walk
-        rot1, w1 = _cross({_E: "f_in", _N: "l_out", _W: "f_out", _S: "l_in"}, base)
-        rot2, w2 = _cross({_E: "f_out", _N: "l_out", _W: "f_in", _S: "l_in"}, base + 4)
-    else:
-        rot1, w1 = _cross({_E: "f_in", _N: "l_in", _W: "f_out", _S: "l_out"}, base)
-        rot2, w2 = _cross({_E: "f_out", _N: "l_in", _W: "f_in", _S: "l_out"}, base + 4)
-    edges = [
-        (src, w1["f_in"]),
-        (w1["f_out"], w2["f_in"]),
-        (w2["f_out"], w2["l_in"]),
-        (w2["l_out"], w1["l_in"]),
-        (w1["l_out"], dst),
-    ]
-    inbound = {}
-    for w in (w1, w2):
-        inbound.update({w["f_in"]: True, w["l_in"]: True, w["f_out"]: False, w["l_out"]: False})
-    over = []
-    for w in (w1, w2):
-        over.append((w["f_in"], w["f_out"]) if finger_over else (w["l_in"], w["l_out"]))
-    return _grow(d, [rot1, rot2], over, inbound, edges)
+    line = _S if d.inbound[x] else _N  # north when the strand runs with the face walk
+    outs = [(_W, line), (_E, line)]
+    run = (src, [(0, 0), (1, 0), (1, 1), (0, 1)], dst)
+    return _insert(d, outs, [run], [0 if finger_over else 1] * 2)
 
 
 def _apply_r2_push(d: Diagram, pushed: int, crossed: int, pushed_over: bool) -> Diagram:
     """Push the side ``pushed`` across to cross the side ``crossed`` twice."""
     ax = not d.inbound[pushed]
     ay = not d.inbound[crossed]
-    base = d.n_darts
-    p1 = _E if ax else _W   # pushed direction at the lower-rail crossing u1
-    p2 = _W if ax else _E
     c = _S if ay else _N    # crossed direction at both crossings
-    rot1, u1 = _cross({p1: "p_out", (p1 + 2) % 4: "p_in", c: "c_out", (c + 2) % 4: "c_in"}, base)
-    rot2, u2 = _cross({p2: "p_out", (p2 + 2) % 4: "p_in", c: "c_out", (c + 2) % 4: "c_in"}, base + 4)
-    p_first, p_second = (u1, u2) if ax else (u2, u1)
-    c_first, c_second = (u2, u1) if ay else (u1, u2)
+    outs = [(_E, c), (_W, c)] if ax else [(_W, c), (_E, c)]
     src_p, dst_p = _endpoints(d, pushed)
     src_c, dst_c = _endpoints(d, crossed)
-    edges = [
-        (src_p, p_first["p_in"]),
-        (p_first["p_out"], p_second["p_in"]),
-        (p_second["p_out"], dst_p),
-        (src_c, c_first["c_in"]),
-        (c_first["c_out"], c_second["c_in"]),
-        (c_second["c_out"], dst_c),
+    runs = [
+        (src_p, [(0, 0), (1, 0)] if ax else [(1, 0), (0, 0)], dst_p),
+        (src_c, [(1, 1), (0, 1)] if ay else [(0, 1), (1, 1)], dst_c),
     ]
-    inbound = {}
-    for u in (u1, u2):
-        inbound.update({u["p_in"]: True, u["c_in"]: True, u["p_out"]: False, u["c_out"]: False})
-    over = []
-    for u in (u1, u2):
-        over.append((u["p_in"], u["p_out"]) if pushed_over else (u["c_in"], u["c_out"]))
-    return _grow(d, [rot1, rot2], over, inbound, edges)
+    return _insert(d, outs, runs, [0 if pushed_over else 1] * 2)
 
 
-def _apply_r2_loop_edge(d: Diagram, loop: int, crossed: int, variant: str) -> Diagram:
-    """Attach free loop ``loop`` across the edge through ``crossed``."""
-    dir_a = variant[0] == "a"
-    loop_over = variant.endswith("over")
-    base = d.n_darts
-    l1 = _E if dir_a else _W  # loop direction at u1; reversed at u2
-    l2 = _W if dir_a else _E
-    rot1, u1 = _cross({l1: "L_out", (l1 + 2) % 4: "L_in", _N: "y_out", _S: "y_in"}, base)
-    rot2, u2 = _cross({l2: "L_out", (l2 + 2) % 4: "L_in", _N: "y_out", _S: "y_in"}, base + 4)
-    src, dst = _endpoints(d, crossed)
-    edges = [
-        (src, u1["y_in"]),
-        (u1["y_out"], u2["y_in"]),
-        (u2["y_out"], dst),
-        (u1["L_out"], u2["L_in"]),
-        (u2["L_out"], u1["L_in"]),
-    ]
-    inbound = {}
-    for u in (u1, u2):
-        inbound.update({u["L_in"]: True, u["y_in"]: True, u["L_out"]: False, u["y_out"]: False})
-    over = []
-    for u in (u1, u2):
-        over.append((u["L_in"], u["L_out"]) if loop_over else (u["y_in"], u["y_out"]))
-    return _grow(d, [rot1, rot2], over, inbound, edges, free_delta=-1)
+def _apply_r2_loop(d: Diagram, crossed: int | None, variant: str) -> Diagram:
+    """Attach a free loop across the edge through ``crossed``, or across a
+    second free loop when ``crossed`` is None; the attached loop is pass 0."""
+    outs = [(_E, _N), (_W, _N)] if variant[0] == "a" else [(_W, _N), (_E, _N)]
+    src, dst = (None, None) if crossed is None else _endpoints(d, crossed)
+    runs = [(src, [(0, 1), (1, 1)], dst), (None, [(0, 0), (1, 0)], None)]
+    return _insert(d, outs, runs, [0 if variant.endswith("over") else 1] * 2,
+                   free_delta=-2 if crossed is None else -1)
 
 
-def _apply_r2_same_edge(d: Diagram, pushed: int, finger_over: bool) -> Diagram:
+def _apply_r2_interleave(d: Diagram, pushed: int | None, finger_over: bool) -> Diagram:
     """Push side ``pushed`` through a handle across its own edge's other
-    side; the four passes interleave (finger, finger, line, line)."""
-    src, dst = _endpoints(d, pushed)
-    aligned = not d.inbound[pushed]
-    base = d.n_darts
-    if aligned:  # line runs north
-        rot1, c1 = _cross({_E: "f_out", _N: "l_out", _W: "f_in", _S: "l_in"}, base)
-        rot2, c2 = _cross({_E: "f_in", _N: "l_out", _W: "f_out", _S: "l_in"}, base + 4)
-    else:
-        rot1, c1 = _cross({_E: "f_out", _N: "l_in", _W: "f_in", _S: "l_out"}, base)
-        rot2, c2 = _cross({_E: "f_in", _N: "l_in", _W: "f_out", _S: "l_out"}, base + 4)
-    edges = [
-        (src, c1["f_in"]),
-        (c1["f_out"], c2["f_in"]),
-        (c2["f_out"], c1["l_in"]),
-        (c1["l_out"], c2["l_in"]),
-        (c2["l_out"], dst),
-    ]
-    inbound = {}
-    for c in (c1, c2):
-        inbound.update({c["f_in"]: True, c["l_in"]: True, c["f_out"]: False, c["l_out"]: False})
-    over = []
-    for c in (c1, c2):
-        over.append((c["f_in"], c["f_out"]) if finger_over else (c["l_in"], c["l_out"]))
-    return _grow(d, [rot1, rot2], over, inbound, edges)
-
-
-def _apply_r2_loop_self(d: Diagram, finger_over: bool) -> Diagram:
-    """Fold a free loop over itself through a handle (interleaved passes)."""
-    base = d.n_darts
-    rot1, c1 = _cross({_E: "f_out", _N: "l_out", _W: "f_in", _S: "l_in"}, base)
-    rot2, c2 = _cross({_E: "f_in", _N: "l_out", _W: "f_out", _S: "l_in"}, base + 4)
-    edges = [
-        (c1["f_out"], c2["f_in"]),
-        (c2["f_out"], c1["l_in"]),
-        (c1["l_out"], c2["l_in"]),
-        (c2["l_out"], c1["f_in"]),
-    ]
-    inbound = {}
-    for c in (c1, c2):
-        inbound.update({c["f_in"]: True, c["l_in"]: True, c["f_out"]: False, c["l_out"]: False})
-    over = []
-    for c in (c1, c2):
-        over.append((c["f_in"], c["f_out"]) if finger_over else (c["l_in"], c["l_out"]))
-    return _grow(d, [rot1, rot2], over, inbound, edges, free_delta=-1)
-
-
-def _apply_r2_loop_loop(d: Diagram, variant: str) -> Diagram:
-    """Cross two free loops over each other twice (loop A plays the line)."""
-    dir_a = variant[0] == "a"
-    b_over = variant.endswith("over")
-    base = d.n_darts
-    l1 = _E if dir_a else _W
-    l2 = _W if dir_a else _E
-    rot1, u1 = _cross({l1: "B_out", (l1 + 2) % 4: "B_in", _N: "A_out", _S: "A_in"}, base)
-    rot2, u2 = _cross({l2: "B_out", (l2 + 2) % 4: "B_in", _N: "A_out", _S: "A_in"}, base + 4)
-    edges = [
-        (u1["A_out"], u2["A_in"]),
-        (u2["A_out"], u1["A_in"]),
-        (u1["B_out"], u2["B_in"]),
-        (u2["B_out"], u1["B_in"]),
-    ]
-    inbound = {}
-    for u in (u1, u2):
-        inbound.update({u["A_in"]: True, u["B_in"]: True, u["A_out"]: False, u["B_out"]: False})
-    over = []
-    for u in (u1, u2):
-        over.append((u["B_in"], u["B_out"]) if b_over else (u["A_in"], u["A_out"]))
-    return _grow(d, [rot1, rot2], over, inbound, edges, free_delta=-2)
+    side, or fold a free loop over itself when ``pushed`` is None; the
+    four passes interleave (finger, finger, line, line)."""
+    line = _S if pushed is not None and d.inbound[pushed] else _N
+    outs = [(_E, line), (_W, line)]
+    src, dst = (None, None) if pushed is None else _endpoints(d, pushed)
+    run = (src, [(0, 0), (1, 0), (0, 1), (1, 1)], dst)
+    return _insert(d, outs, [run], [0 if finger_over else 1] * 2,
+                   free_delta=-1 if pushed is None else 0)
 
 
 def _apply_r3(d: Diagram, face: tuple[int, int, int]) -> Diagram:
@@ -465,16 +302,16 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
         return _apply_r1_plus(d, site)
     if site.kind in ("R2+", "R2+stab"):
         if site.where[0] == "loop":
-            return _apply_r2_loop_edge(d, site.where[1], site.where[2], site.variant)
+            return _apply_r2_loop(d, site.where[2], site.variant)
         if site.where[0] == "loops":
-            return _apply_r2_loop_loop(d, site.variant)
+            return _apply_r2_loop(d, None, site.variant)
         if site.where[0] == "loopself":
-            return _apply_r2_loop_self(d, site.variant == "over")
+            return _apply_r2_interleave(d, None, site.variant == "over")
         x, y = site.where
         if x == y:
             return _apply_r2_fold(d, x, site.variant == "over")
         if y == d.edge_pair[x]:
-            return _apply_r2_same_edge(d, x, site.variant == "over")
+            return _apply_r2_interleave(d, x, site.variant == "over")
         return _apply_r2_push(d, x, y, site.variant == "over")
     raise MoveError(f"unknown move kind {site.kind!r}")
 

@@ -153,11 +153,12 @@ def test_state_sum_cap_exits_3(files, tmp_path):
 def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):
     code, _, err = run_cli_err(["equiv", str(tmp_path / "absent.gauss"), files["unknot.gauss"]])
     assert code == 3 and len(err.splitlines()) == 1
-    empty = tmp_path / "empty.quandle"
-    empty.write_text("")
-    code, _, err = run_cli_err(["equiv", files["trefoil.gauss"], files["unknot.gauss"],
-                                "--quandles", str(empty)])
-    assert code == 3 and len(err.splitlines()) == 1
+    bad = tmp_path / "bad.quandle"
+    for text in ("", "-1", "1\n0\n0 0"):
+        bad.write_text(text)
+        code, _, err = run_cli_err(["equiv", files["trefoil.gauss"], files["unknot.gauss"],
+                                    "--quandles", str(bad)])
+        assert code == 3 and len(err.splitlines()) == 1
 
 
 def test_search_bounds_below_input_exit_3(files):

@@ -172,6 +172,10 @@ def test_json_rejects_malformed():
     obj["vertex_rotations"] = [[0, 1, 2]]
     with pytest.raises(GaussCodeError):
         diagram_from_json(obj)
+    for text in ('{"darts":0,"vertex_rotations":[],"edge_involution":[],"over_under":5,"free_loops":0}',
+                 '{"darts":1e400,"vertex_rotations":[],"edge_involution":[],"over_under":[],"free_loops":0}'):
+        with pytest.raises(GaussCodeError):
+            loads(text)
 
 
 def test_json_accepts_arbitrary_dart_labels():

@@ -149,7 +149,7 @@ def test_quandle_load_format():
     assert q == R3Q
     with pytest.raises(ValueError):
         load_quandle("2\n1 1\n0 0\n")
-    for text in ("", "\n \n", "3\n0 2 1\n"):
+    for text in ("", "\n \n", "3\n0 2 1\n", "-1", "1\n0\n0 0"):
         with pytest.raises(ValueError):
             load_quandle(text)
 

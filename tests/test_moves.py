@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from vlink.moves import (
     simplify_greedy,
 )
 
-from helpers import random_diagram
+from helpers import all_connected_diagrams, random_diagram, random_diagrams
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -170,3 +171,20 @@ def test_simplify_greedy():
 def test_unknown_kind_rejected():
     with pytest.raises(MoveError):
         enumerate_moves(KINK, {"R5"})
+
+
+def test_move_results_match_golden_digest():
+    # pins every move result, dart for dart: results must stay equal
+    # Diagram values, not merely isomorphic ones, so that sites, search
+    # order and witnesses cannot move; the inputs come from to_diagram,
+    # so this also pins its dart numbering
+    corpus = (all_connected_diagrams(3)[::3]
+              + random_diagrams(7, 40, max_v=4, max_comps=3, max_loops=2))
+    h = hashlib.sha256()
+    n_sites = 0
+    for d in corpus:
+        for site in enumerate_moves(d, ALL_KINDS):
+            h.update(repr((site, _apply_unchecked(d, site))).encode())
+            n_sites += 1
+    assert (len(corpus), n_sites) == (324, 94048)
+    assert h.hexdigest() == "3e0b594efc7b5b4c45b0613dced48c60fccdedc01e5ed11685205959294dcc03"
