@@ -3,11 +3,13 @@
 Everything here recomputes from first principles: full 2^V state
 enumeration for the bracket, raw permutation orbits for faces, an
 explicit decorated-map isomorphism search, exhaustive arc-coloring
-scans, and canonical strings emitted in full for every component order
-and start.  None of it shares code paths with the production algorithms,
-except that the search oracles take their successors from the production
-move set, ``vlink.search._expand``: they pin the breadth-first loop, the
-budget and the ranking, not the moves.
+scans, ranks over GF(p) for Alexander-quandle colorings, and canonical
+strings emitted in full for every component order and start.  None of it
+shares code paths with the production algorithms, except that the
+coloring oracles read the arcs from ``vlink.invariants._arcs`` and the
+search oracles take their successors from the production move set,
+``vlink.search._expand``: they pin the breadth-first loop, the budget
+and the ranking, not the moves.
 """
 
 from __future__ import annotations
@@ -170,6 +172,37 @@ def naive_colorings(d: Diagram, q: Quandle) -> int:
                for ai, ao, au in constraints):
             count += 1
     return count
+
+
+def linear_colorings(d: Diagram, p: int, t: int) -> int:
+    """Count colorings by the Alexander quandle x <| y = t*x + (1-t)*y
+    over GF(p), p prime and t a unit, as p ** (arcs - rank) of the
+    linear system under_out = t*under_in + (1-t)*over.  The dihedral
+    quandle R_p is t = -1."""
+    from vlink.invariants import _arcs
+
+    n_arcs, constraints = _arcs(d)
+    rows = []
+    for ai, ao, au in constraints:
+        row = [0] * n_arcs
+        row[ai] += t
+        row[ao] += 1 - t
+        row[au] -= 1
+        rows.append([x % p for x in row])
+    rank = 0
+    for col in range(n_arcs):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * scale % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return p ** (n_arcs - rank)
 
 
 def _bfs_closure(start_cs: str, bounds):

@@ -75,6 +75,20 @@ def test_equiv_unknown_exit_code(files, tmp_path):
     assert "verdict: unknown" in out
 
 
+def test_equiv_free_loops_distinguished(tmp_path):
+    # each free loop multiplies the R5 count by 5; counted jointly, 5^16
+    # assignments would hang invariant_table
+    a, b = tmp_path / "a.gauss", tmp_path / "b.gauss"
+    a.write_text(" / ".join(["*"] * 16) + "\n")
+    b.write_text(" / ".join(["*"] * 15) + "\n")
+    t0 = time.perf_counter()
+    code, out = run_cli(["equiv", str(a), str(b)])
+    assert time.perf_counter() - t0 < 10
+    assert code == 1
+    assert "invariant: components" in out
+    assert f"value[a]: {5 ** 16}" in out
+
+
 def test_minimize_output(files):
     code, out = run_cli(["minimize", files["kink.gauss"], "--max-crossings", "2"])
     assert code == 0

@@ -9,6 +9,7 @@ from vlink.invariants import (
     LaurentPoly,
     Quandle,
     StateSumLimitError,
+    _inverse_table,
     bracket,
     check_quandle,
     dihedral_quandle,
@@ -19,8 +20,8 @@ from vlink.invariants import (
 )
 from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
 
-from helpers import random_diagram, random_diagrams
-from oracles import naive_bracket, naive_colorings
+from helpers import all_connected_diagrams, random_diagram, random_diagrams
+from oracles import linear_colorings, naive_bracket, naive_colorings
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -35,6 +36,34 @@ KNOT_10B = to_diagram(parse_gauss(
     "O6- O10- U3- O8- O4+ U1- U5+ O5+ U4+ O2+ U6- O1- U10- O3- U2+ U7- O7- U8- O9- U9-"))
 R3Q = dihedral_quandle(3)
 R5Q = dihedral_quandle(5)
+
+
+def alexander_quandle(p: int, t: int) -> Quandle:
+    """x <| y = t*x + (1-t)*y mod p."""
+    return Quandle(tuple(tuple((t * x + (1 - t) * y) % p for y in range(p))
+                         for x in range(p)))
+
+
+# not involutory, so it tells the backward deduction from a forward one
+A52 = alexander_quandle(5, 2)
+LINEAR = ((3, -1), (5, -1), (5, 2))
+
+
+def torus_2(n: int):
+    """The (2, n) torus knot, n odd, as an alternating positive diagram."""
+    return to_diagram(parse_gauss(
+        " ".join(f"{'OU'[k % 2]}{k % n + 1}+" for k in range(2 * n))))
+
+
+def random_knots(seed: int, count: int, lo: int, hi: int):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        v = rng.randint(lo, hi)
+        d = random_diagram(rng, max_v=v, max_comps=1, max_loops=0)
+        if d.n_vertices == v:
+            out.append(d)
+    return out
 
 
 # -- Laurent polynomials ----------------------------------------------------
@@ -166,8 +195,38 @@ def test_coloring_counts():
 
 
 def test_colorings_match_naive_scan():
+    assert check_quandle(A52.table) == []
+    assert _inverse_table(A52.table) != A52.table
     for d in random_diagrams(33, 30, max_v=4):
         assert quandle_colorings(d, R3Q) == naive_colorings(d, R3Q)
+        assert quandle_colorings(d, A52) == naive_colorings(d, A52)
+    for d in random_diagrams(34, 30, max_v=3, max_comps=3, max_loops=2):
+        assert quandle_colorings(d, A52) == naive_colorings(d, A52)
+
+
+def test_colorings_match_linear_oracle():
+    assert alexander_quandle(3, -1) == R3Q and alexander_quandle(5, -1) == R5Q
+    corpus = (all_connected_diagrams(3)
+              + random_diagrams(36, 200, max_v=7, max_comps=3, max_loops=2)
+              + random_knots(37, 12, 10, 16))
+    for p, t in LINEAR:
+        q = alexander_quandle(p, t)
+        for d in corpus:
+            assert quandle_colorings(d, q) == linear_colorings(d, p, t), (p, t, d)
+
+
+def test_coloring_closed_forms():
+    # each count below took seconds to hours for an index-order search
+    # that rescanned every constraint and enumerated pieces jointly
+    for n in range(13, 22, 2):
+        d = torus_2(n)
+        assert quandle_colorings(d, R3Q) == (9 if n % 3 == 0 else 3), n
+        assert quandle_colorings(d, R5Q) == (25 if n % 5 == 0 else 5), n
+    for k in (10, 40):
+        d = to_diagram(parse_gauss(" / ".join(
+            [f"O{i}+ U{i}+" for i in range(1, k + 1)] + ["*"] * k)))
+        for q in (R3Q, R5Q, A52):
+            assert quandle_colorings(d, q) == q.size ** (2 * k)
 
 
 def test_colorings_at_least_n():
