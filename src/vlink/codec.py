@@ -100,11 +100,14 @@ def parse_gauss(text: str) -> SignedGaussCode:
             start = i
             i += 1
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             if j == i:
                 raise GaussCodeError("expected crossing index after role", i)
-            index = int(text[i:j])
+            try:
+                index = int(text[i:j])
+            except ValueError:  # more digits than int() converts
+                raise GaussCodeError("crossing index is too long", i) from None
             if index <= 0:
                 raise GaussCodeError("crossing index must be positive", i)
             if j >= n or text[j] not in "+-":

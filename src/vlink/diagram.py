@@ -128,6 +128,30 @@ class Diagram:
         return tuple(circuits)
 
     @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Boundary walks of the ribbon neighbourhood: orbits of sigma o alpha.
+
+        Each face is rotated to start at its least dart; faces are sorted
+        by that dart.  Free loops contribute no faces.
+        """
+        sigma, edge_pair = self.sigma, self.edge_pair
+        seen = set()
+        faces = []
+        for start in range(self.n_darts):
+            if start in seen:
+                continue
+            walk = []
+            x = start
+            while x not in seen:
+                seen.add(x)
+                walk.append(x)
+                x = sigma[edge_pair[x]]
+            k = walk.index(min(walk))
+            faces.append(tuple(walk[k:] + walk[:k]))
+        faces.sort(key=lambda f: f[0])
+        return tuple(faces)
+
+    @cached_property
     def graph_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying graph, as vertex tuples."""
         comps = []

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .diagram import Diagram, require_valid, stats
 
@@ -257,15 +257,20 @@ class Quandle:
     def size(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """:func:`check_quandle` of the table, computed once."""
+        return tuple(check_quandle(self.table))
 
-@lru_cache(maxsize=64)
-def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(table)
-    inv = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for x in range(n):
-            inv[table[x][y]][y] = x
-    return tuple(tuple(row) for row in inv)
+    @cached_property
+    def inverse(self) -> tuple[tuple[int, ...], ...]:
+        """inverse[z][y] = x where x <| y = z, for a table with no violations."""
+        n = self.size
+        inv = [[0] * n for _ in range(n)]
+        for y in range(n):
+            for x in range(n):
+                inv[self.table[x][y]][y] = x
+        return tuple(tuple(row) for row in inv)
 
 
 def dihedral_quandle(n: int) -> Quandle:
@@ -284,22 +289,17 @@ def check_quandle(table) -> list[str]:
     Q3: (x <| y) <| z = (x <| z) <| (y <| z).
     """
     try:
-        frozen = tuple(tuple(row) for row in table)
+        table = tuple(tuple(row) for row in table)
     except TypeError:
         return [f"malformed table: {table!r}"]
-    return list(_check_quandle_cached(frozen))
-
-
-@lru_cache(maxsize=512)
-def _check_quandle_cached(table) -> tuple[str, ...]:
     n = len(table)
     errs = []
     for x, row in enumerate(table):
         if len(row) != n:
-            return (f"row {x} has length {len(row)}, expected {n}",)
+            return [f"row {x} has length {len(row)}, expected {n}"]
         for y, v in enumerate(row):
             if not isinstance(v, int) or not (0 <= v < n):
-                return (f"entry ({x}, {y}) = {v!r} out of range",)
+                return [f"entry ({x}, {y}) = {v!r} out of range"]
     for x in range(n):
         if table[x][x] != x:
             errs.append(f"Q1 fails: {x} <| {x} = {table[x][x]}")
@@ -312,7 +312,7 @@ def _check_quandle_cached(table) -> tuple[str, ...]:
         rhs = table[table[x][z]][table[y][z]]
         if lhs != rhs:
             errs.append(f"Q3 fails at ({x}, {y}, {z}): {lhs} != {rhs}")
-    return tuple(errs)
+    return errs
 
 
 def load_quandle(lines) -> Quandle:
@@ -327,14 +327,12 @@ def load_quandle(lines) -> Quandle:
         raise ValueError(f"quandle size {n} is below 1")
     if len(rows) - 1 != n:
         raise ValueError(f"quandle text has {len(rows) - 1} rows, expected {n}")
-    table = tuple(tuple(int(x) for x in row.split()) for row in rows[1:])
-    errs = check_quandle(table)
-    if errs:
-        raise ValueError("not a quandle: " + "; ".join(errs[:3]))
-    return Quandle(table)
+    q = Quandle(tuple(tuple(int(x) for x in row.split()) for row in rows[1:]))
+    if q.violations:
+        raise ValueError("not a quandle: " + "; ".join(q.violations[:3]))
+    return q
 
 
-@lru_cache(maxsize=4096)
 def _arcs(d: Diagram):
     """Arc structure: arc count, per-pass arc id, and crossing constraints.
 
@@ -388,12 +386,10 @@ def quandle_colorings(d: Diagram, q: Quandle) -> int:
     trivial quandle on a chain link, and has no work bound.
     """
     require_valid(d)
-    errs = check_quandle(q.table)
-    if errs:
-        raise ValueError("not a quandle: " + "; ".join(errs[:3]))
+    if q.violations:
+        raise ValueError("not a quandle: " + "; ".join(q.violations[:3]))
     n_arcs, constraints = _arcs(d)
-    table = q.table
-    inv = _inverse_table(table)
+    table, inv = q.table, q.inverse
     watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n_arcs)]
     for c in constraints:
         for a in set(c):

@@ -6,10 +6,11 @@ refer to the representative's labels and every path replays.  The move
 set here includes R2+stab, the stabilizing addition across distinct
 faces, without which genus-changing transitions would be unreachable.
 
-Each distinct state's successors, and its minimize rank, are computed
-once per process and kept in bounded memos (``_successors``, ``_rank``)
-that every search shares.  Replay does not use them: it re-derives each
-step from a freshly parsed representative.
+Each distinct state is parsed once per crossing cap while its listing
+stays in the bounded memo ``_successors``, which every search shares;
+the listing holds the state's minimize rank and its successors, both
+read from that one representative.  Replay does not use the memo: it
+re-derives each step from a freshly parsed representative.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -109,16 +110,21 @@ def _expand(rep: Diagram, max_crossings: int):
 
 
 class _Listing:
-    """``_expand``'s (site, canonical result) pairs for one state, computed
-    only as far as some search has read them: a search whose budget runs
-    out part-way through a state's successors builds no more of them than
-    it reads.  The sites refer to the labels of ``_rep(cs)``, which is
-    deterministic."""
+    """One state's minimize rank, and ``_expand``'s (site, canonical
+    result) pairs computed only as far as some search has read them: a
+    search whose budget runs out part-way through a state's successors
+    builds no more of them than it reads.  The state is parsed once; the
+    rank is read from that representative, which the sites' labels refer
+    to and which is released when its successors are exhausted."""
 
     def __init__(self, cs: str, max_crossings: int):
+        rep = _rep(cs)
+        # (total genus, crossings, canonical string); genus and crossings
+        # do not change under isomorphism
+        self.rank = (genus(rep).total, rep.n_vertices, cs)
         self._cs, self._cap = cs, max_crossings
         self._read: list[tuple[MoveSite, str]] = []
-        self._rest = _expand(_rep(cs), max_crossings)
+        self._rest = _expand(rep, max_crossings)
 
     def __iter__(self):
         read, i = self._read, 0
@@ -139,21 +145,13 @@ class _Listing:
             i += 1
 
 
-# distinct states whose successors (per crossing cap) and ranks are kept
+# distinct states whose listings are kept, per crossing cap
 _MEMO_SIZE = 2**12
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _successors(cs: str, max_crossings: int) -> _Listing:
     return _Listing(cs, max_crossings)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _rank(cs: str) -> tuple[int, int, str]:
-    """(total genus, crossings, canonical string) of a state; genus and
-    crossings do not change under isomorphism."""
-    rep = _rep(cs)
-    return genus(rep).total, rep.n_vertices, cs
 
 
 class _Budget:
@@ -313,7 +311,7 @@ def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     search = _Search(canonical_string(d), _Budget(bounds, 1))
     for _ in search.run():
         pass
-    return search, min(map(_rank, search.parents))
+    return search, min(_successors(cs, bounds.max_crossings).rank for cs in search.parents)
 
 
 def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:

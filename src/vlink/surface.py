@@ -5,13 +5,14 @@ surface; capping every boundary circle with a disk yields the closed
 oriented surface the projection lives on.  Faces are the orbits of the
 permutation sigma o alpha on darts, so every face is a disk and the
 surface is the minimal one for the given diagram.  Each free loop lives
-on its own sphere (two disk faces, no darts).
+on its own sphere (two disk faces, no darts).  The faces are traced once
+per diagram object and kept on it (``Diagram.faces``), beside its strand
+circuits and graph components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .diagram import Diagram, DiagramError, relabel, require_valid
 
@@ -34,38 +35,16 @@ class GenusResult:
     total: int
 
 
-@lru_cache(maxsize=8192)
-def _faces(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    require_valid(d)
-    seen = set()
-    faces = []
-    for start in range(d.n_darts):
-        if start in seen:
-            continue
-        walk = []
-        x = start
-        while x not in seen:
-            seen.add(x)
-            walk.append(x)
-            x = d.sigma[d.edge_pair[x]]
-        k = walk.index(min(walk))
-        faces.append(tuple(walk[k:] + walk[:k]))
-    faces.sort(key=lambda f: f[0])
-    return tuple(faces)
-
-
 def trace_faces(d: Diagram) -> list[tuple[int, ...]]:
-    """Boundary walks of the ribbon neighbourhood: orbits of sigma o alpha.
-
-    Each cycle is rotated to start at its least dart; cycles are sorted
-    by least dart.  Free loops contribute no dart cycles.
-    """
-    return list(_faces(d))
+    """Boundary walks of the ribbon neighbourhood, as :attr:`Diagram.faces`
+    lists them."""
+    require_valid(d)
+    return list(d.faces)
 
 
 def build_surface(d: Diagram) -> RibbonSurface:
     require_valid(d)
-    faces = _faces(d)
+    faces = d.faces
     comps = d.graph_components
     genus = []
     for comp in comps:

@@ -65,6 +65,8 @@ def test_parse_preserves_noncontiguous_indices():
     "O1+ U1+ /",          # trailing empty component
     "O1+ * U1+",          # star inside a component
     "O0+ U0+",            # nonpositive index
+    "O²+ U²+",            # a Unicode digit that is not ASCII
+    "O١+ U١+",            # Arabic-Indic one, which int() would read
 ])
 def test_parse_rejects(bad):
     with pytest.raises(GaussCodeError):
@@ -78,6 +80,10 @@ def test_parse_error_position():
     except GaussCodeError as e:
         err = e
     assert err is not None and err.position == 4
+    for text in ("O1+ U²+", "O1+ U" + "1" * 5000 + "+"):
+        with pytest.raises(GaussCodeError) as info:
+            parse_gauss(text)
+        assert info.value.position == 5
 
 
 def test_emit_normalizes_and_round_trips():

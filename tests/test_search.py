@@ -13,7 +13,6 @@ from vlink.search import (
     SearchBounds,
     SearchError,
     _expand,
-    _rank,
     _rep,
     _successors,
     classify_corpus,
@@ -186,7 +185,6 @@ def test_expand_lists_loop_curls_without_r2stab():
 
 def _clear_memos():
     _successors.cache_clear()
-    _rank.cache_clear()
 
 
 def _pairs(cs: str, cap: int) -> list:
@@ -281,7 +279,6 @@ def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
 
 def test_memos_are_bounded():
     assert _successors.cache_info().maxsize == 2**12
-    assert _rank.cache_info().maxsize == 2**12
 
 
 def test_unreplayable_path_raises(monkeypatch):
@@ -391,7 +388,21 @@ def test_classify_reuses_successors_of_overlapping_orbits():
     # the unknot's orbit is the kink's
     assert classify_corpus([KINK, DOUBLED], bounds) == cold
     assert _successors.cache_info().hits > hits
-    assert _rank.cache_info().hits > 0
+
+
+def test_each_state_is_parsed_once(monkeypatch):
+    # a state's listing reads its rank and its successors from one parse;
+    # minimize's one further parse rebuilds the witness
+    calls = []
+    real = vlink.search._rep
+    monkeypatch.setattr(vlink.search, "_rep", lambda cs: calls.append(cs) or real(cs))
+    _clear_memos()
+    m = minimize(DOUBLED, SearchBounds(4, max_states=300))
+    assert len(calls) == m.explored + 1 == 301
+    calls.clear()
+    _clear_memos()
+    classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(3, max_states=200))
+    assert len(calls) == 120
 
 
 def test_classify_merges_when_orbits_meet():

@@ -89,13 +89,13 @@ def test_complexity_measure_rejects_fewer_links_than_surfaces():
         complexity_measure(d)
 
 
-def test_build_surface_rejects_odd_euler_characteristic(monkeypatch):
-    import vlink.surface as surface
+def test_build_surface_rejects_odd_euler_characteristic():
+    class LostFace(Diagram):
+        faces = tuple(trace_faces(TREFOIL)[:-1])
 
-    faces = trace_faces(TREFOIL)
-    monkeypatch.setattr(surface, "_faces", lambda d: tuple(faces[:-1]))
+    d = LostFace(TREFOIL.rotations, TREFOIL.edge_pair, TREFOIL.over_pair, TREFOIL.inbound)
     with pytest.raises(DiagramError, match="odd Euler characteristic 1"):
-        build_surface(TREFOIL)
+        build_surface(d)
 
 
 def test_split_components():
