@@ -45,14 +45,19 @@ def _read_corpus(path: str) -> list[Diagram]:
 
 
 def _parse_quandles(arg: str) -> tuple[tuple[str, Quandle], ...]:
-    """Comma list of named dihedral quandles (R3, R5, ...) or table files."""
+    """Comma list of named dihedral quandles (R3, R5, ...) or table files.
+
+    A name is ``R`` and ASCII digits; any other entry is a file path."""
     if not arg:
         return DEFAULT_QUANDLES
     out = []
     for name in arg.split(","):
         name = name.strip()
-        if name.startswith("R") and name[1:].isdigit():
-            out.append((name, dihedral_quandle(int(name[1:]))))
+        size = name[1:]
+        if name[:1] == "R" and size.isascii() and size.isdigit():
+            if int(size) < 1:
+                raise ValueError(f"quandle {name} has no elements")
+            out.append((name, dihedral_quandle(int(size))))
         else:
             out.append((name, load_quandle(Path(name).read_text())))
     return tuple(out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import _N, _S, _W, EMPTY, Diagram, _insert, require_valid, serialize_default
+from .diagram import Diagram, _from_code, require_valid, serialize_default
 
 
 class GaussCodeError(ValueError):
@@ -143,16 +143,14 @@ def to_diagram(code: SignedGaussCode) -> Diagram:
     """
     _validate_code(code.components, code.free_loops)
     vertex: dict[int, int] = {}
-    outs = []
+    positive = []
     for comp in code.components:
         for tok in comp:
             if tok.index not in vertex:
                 vertex[tok.index] = len(vertex)
-                outs.append((_W, _S) if tok.sign > 0 else (_W, _N))
-    # each component is a closed run; pass 0 is the over pass, pass 1 (True) the under
-    runs = [(None, [(vertex[t.index], t.role == "U") for t in comp], None)
-            for comp in code.components]
-    return require_valid(_insert(EMPTY, outs, runs, [0] * len(outs), code.free_loops))
+                positive.append(tok.sign > 0)
+    components = [[(vertex[t.index], t.role == "U") for t in comp] for comp in code.components]
+    return require_valid(_from_code(components, positive, code.free_loops))
 
 
 def from_diagram(d: Diagram) -> SignedGaussCode:
@@ -219,4 +217,10 @@ def dumps(d: Diagram) -> str:
 
 
 def loads(text: str) -> Diagram:
-    return diagram_from_json(json.loads(text))
+    """Inverse of :func:`dumps`; raises :class:`GaussCodeError` on text that
+    is not JSON, nested too deeply to read, or not a diagram."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise GaussCodeError(f"malformed diagram JSON: {exc}") from None
+    return diagram_from_json(obj)

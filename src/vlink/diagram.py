@@ -80,7 +80,7 @@ class Diagram:
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        return tuple(_check(self))
+        return () if _scan(self) is not None else tuple(_check(self))
 
     @property
     def is_valid(self) -> bool:
@@ -240,6 +240,65 @@ def _check(d: Diagram) -> list[str]:
     return errs
 
 
+def _scan(d: Diagram) -> list[list[tuple[int, str, str]]] | None:
+    """None when :func:`_check` reports a violation; otherwise, per strand
+    circuit, one ``(vertex, role, sign)`` triple per pass, role
+    ``"O"``/``"U"`` and sign ``"+"``/``"-"``.
+
+    One pass over the raw fields checks every condition ``_check`` checks
+    and reads the circuits in :attr:`Diagram.strand_circuits` order: each
+    starts at the least in-dart not on an earlier one.  The over-in and
+    under-in darts of a vertex are its circuit entries, and the sign is
+    ``+`` when the dart counterclockwise after the over-in is inbound.
+    """
+    rotations, edge_pair, over_pair, inbound = d.rotations, d.edge_pair, d.over_pair, d.inbound
+    nv = len(rotations)
+    n = 4 * nv
+    if d.free_loops < 0 or len(edge_pair) != n or len(inbound) != n or len(over_pair) != nv:
+        return None
+    seen = [False] * n
+    opposite = [0] * n
+    for rot in rotations:
+        if len(rot) != 4:
+            return None
+        for x in rot:
+            if not (0 <= x < n) or seen[x]:
+                return None
+            seen[x] = True
+        r0, r1, r2, r3 = rot
+        opposite[r0], opposite[r1], opposite[r2], opposite[r3] = r2, r3, r0, r1
+    # every dart lies in exactly one rotation: 4 distinct in-range darts each
+    for x, y in enumerate(edge_pair):
+        if not (0 <= y < n) or y == x or edge_pair[y] != x or inbound[x] == inbound[y]:
+            return None
+    entry: list[tuple[int, str, str] | None] = [None] * n  # per in-dart
+    for v, rot in enumerate(rotations):
+        a, b = over_pair[v]
+        if a not in rot or b not in rot or a == b or opposite[a] != b:
+            return None
+        r0, r1, r2, r3 = rot
+        if inbound[r0] == inbound[r2] or inbound[r1] == inbound[r3]:
+            return None
+        o = a if inbound[a] else b
+        after = rot[(rot.index(o) + 1) % 4]
+        if inbound[after]:
+            entry[o], entry[after] = (v, "O", "+"), (v, "U", "+")
+        else:
+            entry[o], entry[opposite[after]] = (v, "O", "-"), (v, "U", "-")
+    tables = []
+    for start in range(n):
+        if entry[start] is None:
+            continue
+        row = []
+        x = start
+        while (e := entry[x]) is not None:
+            entry[x] = None
+            row.append(e)
+            x = edge_pair[opposite[x]]
+        tables.append(row)
+    return tables
+
+
 def validate(d: Diagram) -> list[str]:
     """Return a list of invariant violations; empty iff ``d`` is a valid diagram."""
     return list(d.violations)
@@ -346,29 +405,16 @@ def _insert(d: Diagram, outs, runs, over, free_delta: int = 0) -> Diagram:
     )
 
 
-def _pass_tables(d: Diagram) -> list[list[tuple[int, str, str]]]:
-    """Per strand circuit, one ``(vertex, role, sign)`` triple per pass,
-    role ``"O"``/``"U"`` and sign ``"+"``/``"-"``, read once per diagram.
-
-    Circuit entries are pass in-darts, so a vertex's two entries are its
-    over-in and under-in darts, which give :meth:`Diagram.sign`."""
-    vertex_of, over_pair, sigma = d.vertex_of, d.over_pair, d.sigma
-    over_in = [0] * d.n_vertices
-    under_in = [0] * d.n_vertices
-    roles = []
-    for circ in d.strand_circuits:
-        row = []
-        for p in circ:
-            v = vertex_of[p]
-            if p in over_pair[v]:
-                over_in[v] = p
-                row.append((v, "O"))
-            else:
-                under_in[v] = p
-                row.append((v, "U"))
-        roles.append(row)
-    sign = ["+" if sigma[o] == u else "-" for o, u in zip(over_in, under_in)]
-    return [[(v, role, sign[v]) for v, role in row] for row in roles]
+def _from_code(components, positive, free_loops: int) -> Diagram:
+    """The diagram of a signed Gauss code whose crossings are numbered
+    ``0 ..`` by first appearance: ``positive[v]`` gives vertex ``v``'s sign
+    and each component is the closed list of its ``(vertex, under)``
+    passes.  Vertex ``v`` owns darts ``4v .. 4v+3`` counterclockwise, with
+    the over-in dart at slot 0 and the under-in dart at slot 1 (sign +) or
+    slot 3 (sign -)."""
+    outs = [(_W, _S) if plus else (_W, _N) for plus in positive]
+    runs = [(None, passes, None) for passes in components]
+    return _insert(EMPTY, outs, runs, [0] * len(outs), free_loops)
 
 
 def _least_serialization(d: Diagram, every_choice: bool) -> str:
@@ -384,7 +430,9 @@ def _least_serialization(d: Diagram, every_choice: bool) -> str:
     occurs twice in all of them), so a larger prefix never completes to
     a smaller string and the pruning never changes the result.
     """
-    tables = _pass_tables(d)
+    tables = _scan(d)
+    if tables is None:
+        raise DiagramError("invalid diagram: " + "; ".join(d.violations))
     loops = " / ".join("*" * d.free_loops)
     if not tables:
         return loops
@@ -442,7 +490,6 @@ def _least_serialization(d: Diagram, every_choice: bool) -> str:
 
 def serialize_default(d: Diagram) -> str:
     """Deterministic traversal-order serialization (least-dart starts)."""
-    require_valid(d)
     return _least_serialization(d, every_choice=False)
 
 
@@ -456,7 +503,10 @@ def canonical_string(d: Diagram) -> str:
     and every starting pass.  The search prunes a choice as soon as its
     prefix exceeds the best string so far; pruning never changes the
     result, which ``tests/oracles.naive_canonical_string`` recomputes by
-    listing every choice.  The cache holds up to 2**17 diagrams.
+    listing every choice.  One pass of :func:`_scan` over ``d``'s fields
+    both validates it, raising :class:`DiagramError` as
+    :func:`require_valid` does, and reads the passes the search
+    serializes; none of ``d``'s cached properties is computed.  The
+    cache holds up to 2**17 diagrams.
     """
-    require_valid(d)
     return _least_serialization(d, every_choice=True)

@@ -1,16 +1,18 @@
 """Bounded exploration of the move graph.
 
 States are canonical strings; the representative of a state is rebuilt
-deterministically by parsing the string, so stored move sites always
-refer to the representative's labels and every path replays.  The move
-set here includes R2+stab, the stabilizing addition across distinct
-faces, without which genus-changing transitions would be unreachable.
+deterministically from the string's tokens by ``_rep``, so stored move
+sites always refer to the representative's labels and every path
+replays.  The move set here includes R2+stab, the stabilizing addition
+across distinct faces, without which genus-changing transitions would
+be unreachable.
 
-Each distinct state is parsed once per crossing cap while its listing
-stays in the bounded memo ``_successors``, which every search shares;
-the listing holds the state's minimize rank and its successors, both
-read from that one representative.  Replay does not use the memo: it
-re-derives each step from a freshly parsed representative.
+Each distinct state's representative is built once per crossing cap
+while its listing stays in the bounded memo ``_successors``, which every
+search shares; the listing holds the state's minimize rank and its
+successors, both read from that one representative.  Replay does not
+use the memo: it re-derives each step from a freshly built
+representative.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -24,8 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .codec import parse_gauss, to_diagram
-from .diagram import Diagram, canonical_string, require_valid, stats
+from .codec import GaussCodeError
+from .diagram import Diagram, _from_code, canonical_string, require_valid, stats
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
 from .moves import MoveSite, _apply_unchecked, _site_applies, enumerate_moves
 from .surface import genus
@@ -85,8 +87,46 @@ class MinimizeResult:
     explored: int
 
 
+_OTHER_ROLE = {"O": "U", "U": "O"}
+
+
 def _rep(cs: str) -> Diagram:
-    return to_diagram(parse_gauss(cs))
+    """The representative of state ``cs``, the diagram that
+    ``to_diagram(parse_gauss(cs))`` builds, read straight from the
+    string's tokens: crossings become vertices in order of first
+    appearance, each component one closed run of its passes.  Raises
+    :class:`GaussCodeError` unless each crossing occurs once as O and once
+    as U with one sign."""
+    vertex: dict[str, int] = {}  # crossing index text -> vertex
+    partner: list[str | None] = []  # per vertex, the token still to come
+    positive, components, loops = [], [], 0
+    for part in cs.split(" / ") if cs else ():
+        if part == "*":
+            loops += 1
+            continue
+        passes = []
+        for tok in part.split(" "):
+            index = tok[1:-1]
+            v = vertex.get(index)
+            if v is None:
+                role, sign = tok[:1], tok[-1:]
+                if (role not in _OTHER_ROLE or sign not in ("+", "-")
+                        or not index.isdigit() or not index.isascii()):
+                    raise GaussCodeError(f"malformed token {tok!r} in state {cs!r}")
+                v = vertex[index] = len(partner)
+                partner.append(_OTHER_ROLE[role] + tok[1:])
+                positive.append(sign == "+")
+            elif partner[v] == tok:
+                partner[v] = None
+            else:
+                raise GaussCodeError(f"crossing {index} of state {cs!r} does not occur "
+                                     "once as O and once as U with one sign")
+            passes.append((v, tok[0] == "U"))
+        components.append(passes)
+    for tok in partner:
+        if tok is not None:
+            raise GaussCodeError(f"crossing {tok[1:-1]} of state {cs!r} occurs once")
+    return require_valid(_from_code(components, positive, loops))
 
 
 # crossings each move kind adds
@@ -113,9 +153,10 @@ class _Listing:
     """One state's minimize rank, and ``_expand``'s (site, canonical
     result) pairs computed only as far as some search has read them: a
     search whose budget runs out part-way through a state's successors
-    builds no more of them than it reads.  The state is parsed once; the
-    rank is read from that representative, which the sites' labels refer
-    to and which is released when its successors are exhausted."""
+    builds no more of them than it reads.  The representative is built
+    once; the rank is read from it, the sites' labels refer to it, and it
+    is released when its successors are exhausted.  Once they are, the
+    listing is read as a plain list."""
 
     def __init__(self, cs: str, max_crossings: int):
         rep = _rep(cs)
@@ -127,9 +168,16 @@ class _Listing:
         self._rest = _expand(rep, max_crossings)
 
     def __iter__(self):
+        if self._rest is None:
+            return iter(self._read)
+        return self._resume()
+
+    def _resume(self):
         read, i = self._read, 0
         while True:
             if i == len(read):
+                if self._rest is None:  # another reader built the rest
+                    return
                 try:
                     step = next(self._rest, None)
                 except BaseException:
@@ -139,6 +187,7 @@ class _Listing:
                         _expand(_rep(self._cs), self._cap), len(read), None)
                     raise
                 if step is None:
+                    self._rest = None
                     return
                 read.append((step[0], step[2]))
             yield read[i]

@@ -9,17 +9,24 @@ shares code paths with the production algorithms, except that the
 coloring oracles read the arcs from ``vlink.invariants._arcs`` and the
 search oracles take their successors from the production move set,
 ``vlink.search._expand``: they pin the breadth-first loop, the budget
-and the ranking, not the moves.
+and the ranking, not the moves.  Their representatives come from the
+text parser, ``to_diagram(parse_gauss(cs))``, not from the search's own
+builder ``vlink.search._rep``.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import Diagram, canonical_string
 from vlink.invariants import DELTA, LaurentPoly, Quandle
-from vlink.search import _expand, _rep
+from vlink.search import _expand
 from vlink.surface import genus
+
+
+def _rep(cs: str) -> Diagram:
+    return to_diagram(parse_gauss(cs))
 
 
 def naive_bracket(d: Diagram) -> LaurentPoly:

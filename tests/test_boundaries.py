@@ -5,12 +5,22 @@ Runs are derandomized, so every run tries the same examples, and each
 example has a deadline, so an input that makes a parser hang fails.
 """
 
+import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlink.codec import GaussCodeError, diagram_from_json, emit_gauss, parse_gauss, to_diagram
+from vlink.codec import (
+    GaussCodeError,
+    diagram_from_json,
+    dumps,
+    emit_gauss,
+    loads,
+    parse_gauss,
+    to_diagram,
+)
 from vlink.diagram import DiagramError
 from vlink.invariants import check_quandle, load_quandle
 
@@ -61,6 +71,24 @@ def test_diagram_from_json_raises_only_typed_errors(obj):
         diagram_from_json(obj)
     except (GaussCodeError, DiagramError):
         pass
+
+
+@BOUNDARY
+@given(biased_text('[]{}":,. 0123456789-eE') | (JSON | DIAGRAM_SHAPED).map(json.dumps)
+       | st.builds(to_diagram, st.sampled_from(["", "*", "O1+ U1+", "O1+ U2- / U1+ O2-"]).map(
+           parse_gauss)).map(dumps))
+def test_loads_raises_only_gauss_code_errors_and_diagram_errors(text):
+    try:
+        d = loads(text)
+    except (GaussCodeError, DiagramError):
+        return
+    assert loads(dumps(d)) == d
+
+
+def test_loads_rejects_deep_nesting_with_a_gauss_code_error():
+    for text in ("[" * 100000, '{"darts": ' + "[" * 100000 + "]" * 100000 + "}"):
+        with pytest.raises(GaussCodeError):
+            loads(text)
 
 
 @BOUNDARY

@@ -173,6 +173,11 @@ def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):
         code, _, err = run_cli_err(["equiv", files["trefoil.gauss"], files["unknot.gauss"],
                                     "--quandles", str(bad)])
         assert code == 3 and len(err.splitlines()) == 1
+    # a quandle name is R and at least one ASCII digit naming a size of 1 or more
+    for name in ("R\u0661", "R0"):
+        code, out, err = run_cli_err(["equiv", files["kink.gauss"], files["unknot.gauss"],
+                                      "--quandles", name])
+        assert code == 3 and out == "" and len(err.splitlines()) == 1, name
 
 
 def test_search_bounds_below_input_exit_3(files):

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import (
@@ -9,6 +12,8 @@ from vlink.diagram import (
     UNKNOT,
     Diagram,
     DiagramError,
+    _check,
+    _scan,
     canonical_string,
     disjoint_union,
     mirror,
@@ -189,3 +194,84 @@ def test_canonical_matches_oracle_on_orbit_states():
 
 def test_canonical_cache_is_bounded():
     assert canonical_string.cache_info().maxsize == 2**17
+
+
+@st.composite
+def one_entry_changed(draw) -> Diagram:
+    """A valid diagram of up to 4 crossings with one entry of one field
+    replaced: a dart or two edges' ends, a rotation by a reordering of
+    itself, an over pair, an orientation flag or an edge's orientation, or
+    the free loop count."""
+    d = random_diagram(random.Random(draw(st.integers(0, 2**32))), max_v=4, max_loops=2)
+    n = d.n_darts
+    field = draw(st.sampled_from(["rotations", "edge_pair", "over_pair", "inbound", "free_loops"]))
+    if field == "free_loops" or n == 0:
+        return dataclasses.replace(d, free_loops=draw(st.integers(-2, 3)))
+    dart = st.integers(-1, n)
+    entries = list(getattr(d, field))
+    i = draw(st.integers(0, len(entries) - 1))
+    if field == "rotations":
+        rot = list(entries[i])
+        if draw(st.booleans()):
+            rot[draw(st.integers(0, 3))] = draw(dart)
+        else:
+            rot = draw(st.permutations(rot))
+        entries[i] = tuple(rot)
+    elif field == "edge_pair":
+        j = draw(st.integers(0, n - 1))
+        ends = (i, entries[i], j, entries[j])
+        if draw(st.booleans()) or len(set(ends)) < 4:
+            entries[i] = draw(dart)
+        else:  # two edges trade ends: still an involution
+            for x, y in ((ends[0], ends[2]), (ends[1], ends[3])):
+                entries[x], entries[y] = y, x
+    elif field == "over_pair":
+        entries[i] = draw(st.tuples(dart, dart))
+    else:  # one flag, or both ends of an edge: each edge stays in -> out
+        for x in {i, d.edge_pair[i]} if draw(st.booleans()) else {i}:
+            entries[x] = not entries[x]
+    return dataclasses.replace(d, **{field: tuple(entries)})
+
+
+@st.composite
+def diagram_shaped(draw) -> Diagram:
+    """Fields of the shapes a diagram has, each length mostly right and
+    sometimes one off, filled with small darts; the rotations partition
+    the darts, except that one dart may move to another rotation."""
+    nv = draw(st.integers(0, 3))
+    n = 4 * nv
+    dart = st.integers(-1, n)
+
+    def sized(elements, size):
+        size = max(size + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+        return st.lists(elements, min_size=size, max_size=size).map(tuple)
+
+    perm = draw(st.permutations(range(n)))
+    rotations = [perm[x:x + 4] for x in range(0, n, 4)]
+    if nv >= 2 and draw(st.booleans()):
+        rotations[1].append(rotations[0].pop())
+    return Diagram(rotations=tuple(map(tuple, rotations)),
+                   edge_pair=draw(sized(dart, n)),
+                   over_pair=draw(sized(st.tuples(dart, dart), nv)),
+                   inbound=draw(sized(st.booleans(), n)),
+                   free_loops=draw(st.integers(-1, 2)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(one_entry_changed() | diagram_shaped())
+def test_scan_accepts_exactly_what_the_message_loop_accepts(d):
+    try:
+        errs = _check(d)
+    except IndexError:  # the loop reads a fourth dart of a shorter rotation
+        assert _scan(d) is None
+        return
+    assert (_scan(d) is not None) == (errs == [])
+    if errs:
+        assert validate(d) == errs
+        for serialize in (canonical_string, serialize_default):
+            with pytest.raises(DiagramError, match="invalid diagram: "):
+                serialize(d)
+    else:
+        assert validate(d) == []
+        assert canonical_string(d) == naive_canonical_string(d)
+        assert serialize_default(d) == naive_serialize_default(d)

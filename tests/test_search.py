@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vlink.codec import parse_gauss, to_diagram
+from vlink.codec import GaussCodeError, parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
@@ -253,8 +253,12 @@ def test_successors_are_computed_as_far_as_read(monkeypatch):
     # then reads on; the first resumes where it stopped
     assert next(itertools.islice(listing, 1, None)) == fresh[1]
     assert len(applied) == 2
+    paused = iter(listing)
+    assert next(paused) == fresh[0]
     assert list(first) == fresh[2:]
+    # the listing is complete: a new reader and the paused one see every pair
     assert list(listing) == fresh
+    assert list(paused) == fresh[1:]
     assert len(applied) == len(fresh)
 
 
@@ -275,6 +279,24 @@ def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         list(_successors(cs, 4))
     assert list(_successors(cs, 4)) == fresh
+
+
+def test_rep_builds_what_the_parser_builds(corpus_v3):
+    # every state of one closed cap-4 orbit, the V<=3 corpus and a seeded random corpus
+    res = orbit(UNKNOT, SearchBounds(4, max_states=None))
+    assert not res.truncated and len(res.states) == 1531
+    others = corpus_v3 + random_diagrams(29, 300, max_v=6, max_comps=3, max_loops=2)
+    for cs in sorted(res.states | {canonical_string(d) for d in others}):
+        assert _rep(cs) == to_diagram(parse_gauss(cs)), cs
+
+
+@pytest.mark.parametrize("cs", [
+    "O1+", "O1+ O1+", "O1+ U1-", "O1+ U1+ U1+", "O1+ U1+ / O1+ U1+", "U1+ O1+ U1+",
+    "X1+ U1+", "O1 U1", "Oa+ Ua+", "O\u0661+ U\u0661+", "O1+  U1+", "O1+ U1+ / ", "O1+ * U1+",
+])
+def test_rep_rejects_malformed_states(cs):
+    with pytest.raises(GaussCodeError):
+        _rep(cs)
 
 
 def test_memos_are_bounded():
