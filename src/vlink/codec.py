@@ -153,6 +153,48 @@ def to_diagram(code: SignedGaussCode) -> Diagram:
     return require_valid(_from_code(components, positive, code.free_loops))
 
 
+_OTHER_ROLE = {"O": "U", "U": "O"}
+
+
+def _from_canonical(cs: str) -> Diagram:
+    """``to_diagram(parse_gauss(cs))`` for text in the form
+    :func:`emit_gauss` and ``canonical_string`` write, read straight from
+    its tokens: components joined by ``" / "``, tokens by one space,
+    crossing indices in ASCII digits without a leading zero.  Any other
+    text, and any crossing that does not occur once as O and once as U
+    with one sign, raises :class:`GaussCodeError`."""
+    vertex: dict[str, int] = {}  # crossing index text -> vertex
+    partner: list[str | None] = []  # per vertex, the token still to come
+    positive, components, loops = [], [], 0
+    for part in cs.split(" / ") if cs else ():
+        if part == "*":
+            loops += 1
+            continue
+        passes = []
+        for tok in part.split(" "):
+            index = tok[1:-1]
+            v = vertex.get(index)
+            if v is None:
+                role, sign = tok[:1], tok[-1:]
+                if (role not in _OTHER_ROLE or sign not in ("+", "-") or not index.isdigit()
+                        or not index.isascii() or index[0] == "0"):
+                    raise GaussCodeError(f"malformed token {tok!r} in {cs!r}")
+                v = vertex[index] = len(partner)
+                partner.append(_OTHER_ROLE[role] + tok[1:])
+                positive.append(sign == "+")
+            elif partner[v] == tok:
+                partner[v] = None
+            else:
+                raise GaussCodeError(f"crossing {index} of {cs!r} does not occur "
+                                     "once as O and once as U with one sign")
+            passes.append((v, tok[0] == "U"))
+        components.append(passes)
+    for tok in partner:
+        if tok is not None:
+            raise GaussCodeError(f"crossing {tok[1:-1]} of {cs!r} occurs once")
+    return require_valid(_from_code(components, positive, loops))
+
+
 def from_diagram(d: Diagram) -> SignedGaussCode:
     """Traversal-order code: components ordered by least dart, each started at
     its least pass, crossings renumbered 1..n by first traversal."""

@@ -80,7 +80,7 @@ class Diagram:
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        return () if _scan(self) is not None else tuple(_check(self))
+        return tuple(_scan(self)[0])
 
     @property
     def is_valid(self) -> bool:
@@ -184,107 +184,91 @@ class DiagramStats:
     writhe: int
 
 
-def _check(d: Diagram) -> list[str]:
+def _scan(d: Diagram) -> tuple[list[str], list[list[tuple[int, str, str]]]]:
+    """The invariant violations of ``d`` and, when there are none, per
+    strand circuit one ``(vertex, role, sign)`` triple per pass, role
+    ``"O"``/``"U"`` and sign ``"+"``/``"-"``.
+
+    One pass over the raw fields checks every condition and reads the
+    circuits in :attr:`Diagram.strand_circuits` order: each starts at the
+    least in-dart not on an earlier one.  The over-in and under-in darts
+    of a vertex are its circuit entries, and the sign is ``+`` when the
+    dart counterclockwise after the over-in is inbound.  A message is
+    formatted only for a condition that fails; a failed length check
+    ends the scan, a broken rotation partition ends it after every
+    rotation is read, and otherwise it reports every edge and vertex.
+    """
     errs: list[str] = []
-    n = d.n_darts
+    rotations, edge_pair, over_pair, inbound = d.rotations, d.edge_pair, d.over_pair, d.inbound
+    nv = len(rotations)
+    n = 4 * nv
     if d.free_loops < 0:
         errs.append("free loop count is negative")
-    if len(d.edge_pair) != n:
-        errs.append(f"edge involution has {len(d.edge_pair)} entries, expected {n}")
-    if len(d.inbound) != n:
-        errs.append(f"orientation has {len(d.inbound)} entries, expected {n}")
-    if len(d.over_pair) != d.n_vertices:
+    if len(edge_pair) != n:
+        errs.append(f"edge involution has {len(edge_pair)} entries, expected {n}")
+    if len(inbound) != n:
+        errs.append(f"orientation has {len(inbound)} entries, expected {n}")
+    if len(over_pair) != nv:
         errs.append("strand decoration does not cover every vertex")
     if errs:
-        return errs
+        return errs, []
 
-    seen: dict[int, int] = {}
-    for v, rot in enumerate(d.rotations):
+    owner = [-1] * n  # dart -> the vertex whose rotation lists it
+    opposite = [0] * n
+    for v, rot in enumerate(rotations):
+        if len(rot) != 4:
+            errs.append(f"rotation of vertex {v} has {len(rot)} darts, expected 4")
         for x in rot:
             if not (0 <= x < n):
                 errs.append(f"rotation of vertex {v} names dart {x} out of range")
-            elif x in seen:
-                errs.append(f"dart {x} appears in rotations of vertices {seen[x]} and {v}")
+            elif owner[x] >= 0:
+                errs.append(f"dart {x} appears in rotations of vertices {owner[x]} and {v}")
             else:
-                seen[x] = v
-    if len(seen) < n:
-        missing = sorted(set(range(n)) - set(seen))
-        errs.append(f"darts {missing} missing from every rotation")
-    if errs:
-        return errs
+                owner[x] = v
+        if not errs:
+            r0, r1, r2, r3 = rot
+            opposite[r0], opposite[r1], opposite[r2], opposite[r3] = r2, r3, r0, r1
+    if errs:  # without them the 4 * nv darts named are distinct and all in range
+        missing = [x for x in range(n) if owner[x] < 0]
+        if missing:
+            errs.append(f"darts {missing} missing from every rotation")
+        return errs, []
 
-    for x in range(n):
-        y = d.edge_pair[x]
+    for x, y in enumerate(edge_pair):
         if not (0 <= y < n):
             errs.append(f"edge involution sends dart {x} out of range")
         elif y == x:
             errs.append(f"edge involution has fixed point at dart {x}")
-        elif d.edge_pair[y] != x:
+        elif edge_pair[y] != x:
             errs.append(f"edge involution is not an involution at dart {x}")
-        elif d.inbound[x] == d.inbound[y]:
-            kind = "inbound" if d.inbound[x] else "outbound"
+        elif inbound[x] == inbound[y]:
+            kind = "inbound" if inbound[x] else "outbound"
             errs.append(f"edge {{{x}, {y}}} joins two {kind} darts")
 
-    for v, rot in enumerate(d.rotations):
-        a, b = d.over_pair[v]
-        if a not in rot or b not in rot or a == b:
-            errs.append(f"over pair of vertex {v} is not two of its darts")
-            continue
-        if d.opposite[a] != b:
-            errs.append(f"over pair of vertex {v} is not an opposite pair")
-        for pair in ((rot[0], rot[2]), (rot[1], rot[3])):
-            flags = [d.inbound[x] for x in pair]
-            if flags[0] == flags[1]:
-                errs.append(
-                    f"pass {pair} at vertex {v} has {sum(flags)} inbound darts, expected 1")
-    return errs
-
-
-def _scan(d: Diagram) -> list[list[tuple[int, str, str]]] | None:
-    """None when :func:`_check` reports a violation; otherwise, per strand
-    circuit, one ``(vertex, role, sign)`` triple per pass, role
-    ``"O"``/``"U"`` and sign ``"+"``/``"-"``.
-
-    One pass over the raw fields checks every condition ``_check`` checks
-    and reads the circuits in :attr:`Diagram.strand_circuits` order: each
-    starts at the least in-dart not on an earlier one.  The over-in and
-    under-in darts of a vertex are its circuit entries, and the sign is
-    ``+`` when the dart counterclockwise after the over-in is inbound.
-    """
-    rotations, edge_pair, over_pair, inbound = d.rotations, d.edge_pair, d.over_pair, d.inbound
-    nv = len(rotations)
-    n = 4 * nv
-    if d.free_loops < 0 or len(edge_pair) != n or len(inbound) != n or len(over_pair) != nv:
-        return None
-    seen = [False] * n
-    opposite = [0] * n
-    for rot in rotations:
-        if len(rot) != 4:
-            return None
-        for x in rot:
-            if not (0 <= x < n) or seen[x]:
-                return None
-            seen[x] = True
-        r0, r1, r2, r3 = rot
-        opposite[r0], opposite[r1], opposite[r2], opposite[r3] = r2, r3, r0, r1
-    # every dart lies in exactly one rotation: 4 distinct in-range darts each
-    for x, y in enumerate(edge_pair):
-        if not (0 <= y < n) or y == x or edge_pair[y] != x or inbound[x] == inbound[y]:
-            return None
     entry: list[tuple[int, str, str] | None] = [None] * n  # per in-dart
     for v, rot in enumerate(rotations):
         a, b = over_pair[v]
-        if a not in rot or b not in rot or a == b or opposite[a] != b:
-            return None
+        if a not in rot or b not in rot or a == b:
+            errs.append(f"over pair of vertex {v} is not two of its darts")
+            continue
+        if opposite[a] != b:
+            errs.append(f"over pair of vertex {v} is not an opposite pair")
         r0, r1, r2, r3 = rot
-        if inbound[r0] == inbound[r2] or inbound[r1] == inbound[r3]:
-            return None
+        for p, q in ((r0, r2), (r1, r3)):
+            if inbound[p] == inbound[q]:
+                errs.append(f"pass {(p, q)} at vertex {v} has "
+                            f"{inbound[p] + inbound[q]} inbound darts, expected 1")
+        if errs:
+            continue
         o = a if inbound[a] else b
         after = rot[(rot.index(o) + 1) % 4]
         if inbound[after]:
             entry[o], entry[after] = (v, "O", "+"), (v, "U", "+")
         else:
             entry[o], entry[opposite[after]] = (v, "O", "-"), (v, "U", "-")
+    if errs:
+        return errs, []
+
     tables = []
     for start in range(n):
         if entry[start] is None:
@@ -296,7 +280,7 @@ def _scan(d: Diagram) -> list[list[tuple[int, str, str]]] | None:
             row.append(e)
             x = edge_pair[opposite[x]]
         tables.append(row)
-    return tables
+    return errs, tables
 
 
 def validate(d: Diagram) -> list[str]:
@@ -430,9 +414,9 @@ def _least_serialization(d: Diagram, every_choice: bool) -> str:
     occurs twice in all of them), so a larger prefix never completes to
     a smaller string and the pruning never changes the result.
     """
-    tables = _scan(d)
-    if tables is None:
-        raise DiagramError("invalid diagram: " + "; ".join(d.violations))
+    errs, tables = _scan(d)
+    if errs:
+        raise DiagramError("invalid diagram: " + "; ".join(errs))
     loops = " / ".join("*" * d.free_loops)
     if not tables:
         return loops

@@ -26,8 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .codec import GaussCodeError
-from .diagram import Diagram, _from_code, canonical_string, require_valid, stats
+from .codec import _from_canonical
+from .diagram import Diagram, canonical_string, require_valid, stats
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
 from .moves import MoveSite, _apply_unchecked, _site_applies, enumerate_moves
 from .surface import genus
@@ -87,46 +87,9 @@ class MinimizeResult:
     explored: int
 
 
-_OTHER_ROLE = {"O": "U", "U": "O"}
-
-
 def _rep(cs: str) -> Diagram:
-    """The representative of state ``cs``, the diagram that
-    ``to_diagram(parse_gauss(cs))`` builds, read straight from the
-    string's tokens: crossings become vertices in order of first
-    appearance, each component one closed run of its passes.  Raises
-    :class:`GaussCodeError` unless each crossing occurs once as O and once
-    as U with one sign."""
-    vertex: dict[str, int] = {}  # crossing index text -> vertex
-    partner: list[str | None] = []  # per vertex, the token still to come
-    positive, components, loops = [], [], 0
-    for part in cs.split(" / ") if cs else ():
-        if part == "*":
-            loops += 1
-            continue
-        passes = []
-        for tok in part.split(" "):
-            index = tok[1:-1]
-            v = vertex.get(index)
-            if v is None:
-                role, sign = tok[:1], tok[-1:]
-                if (role not in _OTHER_ROLE or sign not in ("+", "-")
-                        or not index.isdigit() or not index.isascii()):
-                    raise GaussCodeError(f"malformed token {tok!r} in state {cs!r}")
-                v = vertex[index] = len(partner)
-                partner.append(_OTHER_ROLE[role] + tok[1:])
-                positive.append(sign == "+")
-            elif partner[v] == tok:
-                partner[v] = None
-            else:
-                raise GaussCodeError(f"crossing {index} of state {cs!r} does not occur "
-                                     "once as O and once as U with one sign")
-            passes.append((v, tok[0] == "U"))
-        components.append(passes)
-    for tok in partner:
-        if tok is not None:
-            raise GaussCodeError(f"crossing {tok[1:-1]} of state {cs!r} occurs once")
-    return require_valid(_from_code(components, positive, loops))
+    """The representative of state ``cs``."""
+    return _from_canonical(cs)
 
 
 # crossings each move kind adds
@@ -155,8 +118,7 @@ class _Listing:
     search whose budget runs out part-way through a state's successors
     builds no more of them than it reads.  The representative is built
     once; the rank is read from it, the sites' labels refer to it, and it
-    is released when its successors are exhausted.  Once they are, the
-    listing is read as a plain list."""
+    is released when its successors are exhausted."""
 
     def __init__(self, cs: str, max_crossings: int):
         rep = _rep(cs)
@@ -168,16 +130,9 @@ class _Listing:
         self._rest = _expand(rep, max_crossings)
 
     def __iter__(self):
-        if self._rest is None:
-            return iter(self._read)
-        return self._resume()
-
-    def _resume(self):
         read, i = self._read, 0
         while True:
             if i == len(read):
-                if self._rest is None:  # another reader built the rest
-                    return
                 try:
                     step = next(self._rest, None)
                 except BaseException:
@@ -187,7 +142,6 @@ class _Listing:
                         _expand(_rep(self._cs), self._cap), len(read), None)
                     raise
                 if step is None:
-                    self._rest = None
                     return
                 read.append((step[0], step[2]))
             yield read[i]

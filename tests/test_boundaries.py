@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from vlink.codec import (
     GaussCodeError,
+    _from_canonical,
     diagram_from_json,
     dumps,
     emit_gauss,
@@ -45,6 +46,48 @@ def test_parse_gauss_raises_only_gauss_code_errors(text):
     # an accepted code round-trips and builds a valid diagram
     assert parse_gauss(emit_gauss(code)) == code
     to_diagram(code)
+
+
+@st.composite
+def code_text(draw) -> str:
+    """Signed Gauss text with one space between tokens and " / " between
+    components: up to four crossings, named by small and sometimes
+    zero-led indices, each written once as O and once as U with one sign,
+    shuffled into up to three components, plus up to two "*" components;
+    in one text of four, one token is replaced by an arbitrary one."""
+    names = draw(st.lists(st.sampled_from(["1", "2", "3", "4", "10", "0", "01"]), max_size=4,
+                          unique=True))
+    toks = [role + name + sign for name in names
+            for sign in draw(st.sampled_from("+-")) for role in "OU"]
+    toks = draw(st.permutations(toks))
+    cuts = sorted(draw(st.sets(st.integers(1, len(toks) - 1), max_size=2))) if toks else []
+    parts = [" ".join(toks[i:j]) for i, j in zip([0, *cuts], [*cuts, len(toks)]) if i < j]
+    parts += ["*"] * draw(st.integers(0, 2))
+    if parts and draw(st.integers(0, 3)) == 0:
+        token = st.tuples(st.sampled_from("OU"), st.sampled_from(["1", "2", "0"]),
+                          st.sampled_from("+-")).map("".join)
+        i = draw(st.integers(0, len(parts) - 1))
+        words = parts[i].split(" ")
+        words[draw(st.integers(0, len(words) - 1))] = draw(token)
+        parts[i] = " ".join(words)
+    return " / ".join(parts)
+
+
+@BOUNDARY
+@given(code_text() | biased_text("OU+-/* 0²١"))
+def test_from_canonical_builds_what_the_parser_builds(text):
+    try:
+        d = _from_canonical(text)
+    except GaussCodeError:
+        pass
+    else:
+        assert d == to_diagram(parse_gauss(text))
+    try:
+        code = parse_gauss(text)
+    except GaussCodeError:
+        return
+    # the normalized text of every accepted code is read
+    assert _from_canonical(emit_gauss(code)) == to_diagram(code)
 
 
 JSON = st.recursive(

@@ -12,8 +12,6 @@ from vlink.diagram import (
     UNKNOT,
     Diagram,
     DiagramError,
-    _check,
-    _scan,
     canonical_string,
     disjoint_union,
     mirror,
@@ -259,19 +257,24 @@ def diagram_shaped(draw) -> Diagram:
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(one_entry_changed() | diagram_shaped())
-def test_scan_accepts_exactly_what_the_message_loop_accepts(d):
-    try:
-        errs = _check(d)
-    except IndexError:  # the loop reads a fourth dart of a shorter rotation
-        assert _scan(d) is None
-        return
-    assert (_scan(d) is not None) == (errs == [])
+def test_serializations_reject_exactly_what_validate_reports(d):
+    errs = validate(d)
     if errs:
-        assert validate(d) == errs
         for serialize in (canonical_string, serialize_default):
-            with pytest.raises(DiagramError, match="invalid diagram: "):
+            with pytest.raises(DiagramError) as info:
                 serialize(d)
+            assert str(info.value) == "invalid diagram: " + "; ".join(errs)
     else:
-        assert validate(d) == []
-        assert canonical_string(d) == naive_canonical_string(d)
+        # an accepted diagram is isomorphic to the valid one its string builds
+        cs = canonical_string(d)
+        assert cs == naive_canonical_string(d)
         assert serialize_default(d) == naive_serialize_default(d)
+        assert find_isomorphism(d, to_diagram(parse_gauss(cs))) is not None
+
+
+def test_validate_reports_short_rotation():
+    # the rotations partition the darts, but one vertex has three of them
+    d = Diagram(((0, 1, 2), (3, 4, 5, 6, 7)), (1, 0, 3, 2, 5, 4, 7, 6),
+                ((0, 2), (3, 5)), (True, False) * 4, 0)
+    assert validate(d) == ["rotation of vertex 0 has 3 darts, expected 4",
+                           "rotation of vertex 1 has 5 darts, expected 4"]

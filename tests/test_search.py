@@ -293,6 +293,7 @@ def test_rep_builds_what_the_parser_builds(corpus_v3):
 @pytest.mark.parametrize("cs", [
     "O1+", "O1+ O1+", "O1+ U1-", "O1+ U1+ U1+", "O1+ U1+ / O1+ U1+", "U1+ O1+ U1+",
     "X1+ U1+", "O1 U1", "Oa+ Ua+", "O\u0661+ U\u0661+", "O1+  U1+", "O1+ U1+ / ", "O1+ * U1+",
+    "O0+ U0+", "O01+ U01+", "O01+ U1+",
 ])
 def test_rep_rejects_malformed_states(cs):
     with pytest.raises(GaussCodeError):
