@@ -2,7 +2,10 @@
 
 Exit codes for equiv: 0 equivalent, 1 distinguished, 2 unknown.  Every
 command exits 3, with a one-line message, on input it cannot read: bad
-arguments, unreadable files, or a diagram above the state-sum cap.
+arguments, unreadable files, or a diagram above the state-sum cap.  A
+search command exits 4, with a one-line message and no verdict, when a
+path its search found fails to replay (``SearchError``, a fault in the
+program, not in the input).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .invariants import Quandle, StateSumLimitError, dihedral_quandle, load_quan
 from .search import (
     DEFAULT_QUANDLES,
     SearchBounds,
+    SearchError,
     classify_corpus,
     equivalent,
     minimize,
@@ -166,6 +170,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, StateSumLimitError) as e:
         print(f"vlink {args.command}: {e}", file=sys.stderr)
         return 3
+    except SearchError as e:
+        print(f"vlink {args.command}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -222,16 +222,33 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
+# free loops a JSON diagram may carry: the field is one number, so a short
+# input could otherwise ask for loops that no canonical string fits in
+MAX_JSON_FREE_LOOPS = 1024
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer (``true`` and ``1.0`` are not)."""
+    if type(value) is not int:
+        raise GaussCodeError(f"expected a JSON integer, got {type(value).__name__}")
+    return value
+
+
 def diagram_from_json(obj: dict) -> Diagram:
-    """Inverse of :func:`diagram_to_json`; validates the reconstructed map."""
+    """Inverse of :func:`diagram_to_json`; validates the reconstructed map.
+    Every field holds JSON integers, and ``free_loops`` is at most
+    ``MAX_JSON_FREE_LOOPS``."""
     try:
-        n = int(obj["darts"])
-        rotations = tuple(tuple(int(x) for x in rot) for rot in obj["vertex_rotations"])
-        edge = tuple(int(x) for x in obj["edge_involution"])
+        n = _json_int(obj["darts"])
+        rotations = tuple(tuple(_json_int(x) for x in rot) for rot in obj["vertex_rotations"])
+        edge = tuple(_json_int(x) for x in obj["edge_involution"])
         over_under = obj["over_under"]
-        free_loops = int(obj["free_loops"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        free_loops = _json_int(obj["free_loops"])
+    except (KeyError, TypeError) as exc:
         raise GaussCodeError(f"malformed diagram JSON: {exc}") from None
+    if free_loops > MAX_JSON_FREE_LOOPS:
+        raise GaussCodeError(
+            f"{free_loops} free loops, above the limit of {MAX_JSON_FREE_LOOPS}")
     if not isinstance(over_under, list):
         raise GaussCodeError("over_under must be a list")
     if any(len(rot) != 4 for rot in rotations):
@@ -242,9 +259,9 @@ def diagram_from_json(obj: dict) -> Diagram:
     over = []
     for entry in over_under:
         try:
-            o_in, u_in = int(entry["over_in"]), int(entry["under_in"])
-            o_out = int(entry["over_out"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            o_in, u_in = _json_int(entry["over_in"]), _json_int(entry["under_in"])
+            o_out = _json_int(entry["over_out"])
+        except (KeyError, TypeError) as exc:
             raise GaussCodeError(f"malformed over_under entry: {exc}") from None
         if not (0 <= o_in < n and 0 <= u_in < n):
             raise GaussCodeError("over_under names a dart out of range")

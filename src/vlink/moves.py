@@ -167,6 +167,40 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
     return sites
 
 
+def _unrepeated(d: Diagram, sites: list[MoveSite]):
+    """The sites of ``d``'s sorted listing ``sites`` less each one known,
+    before it is applied, to give the same state as an earlier site:
+
+    * Mirrored push sites: pushing ``x`` over ``y`` (R2+ or R2+stab,
+      ``x != y`` and ``y`` not ``x``'s edge partner) is pushing ``y``
+      under ``x``, so ``(x, y, v)`` and ``(y, x, other variant)`` give
+      isomorphic results.  Both are listed, with the same kind, and the
+      one whose ``x`` sorts first by ``MoveSite.sort_key`` is kept.
+      Folds and handle interleaves have no such partner.
+    * Free-loop indices: the builders ignore which free loop they use, so
+      every index gives the same ``Diagram``; only loop 0 (and the pair
+      ``(0, 1)``) is kept, for curls, attachments and self-folds alike.
+    * R2- bigons on one vertex pair excise the same vertices, so give the
+      same ``Diagram``; only the first is kept.
+    """
+    bigons = set()
+    for site in sites:
+        where = site.where
+        if site.kind == "R2-":
+            pair = frozenset(d.vertex_of[x] for x in where)
+            if pair in bigons:
+                continue
+            bigons.add(pair)
+        elif where[0] in ("loop", "loopself", "loops"):
+            if where[1] != 0 or (where[0] == "loops" and where[2] != 1):
+                continue
+        elif site.kind in ("R2+", "R2+stab"):
+            x, y = where
+            if x != y and y != d.edge_pair[x] and str(y) < str(x):
+                continue
+        yield site
+
+
 # ---------------------------------------------------------------------------
 # surgery helpers
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ be unreachable.
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
 search shares; the listing holds the state's minimize rank and its
-successors, both read from that one representative.  Replay does not
-use the memo: it re-derives each step from a freshly built
-representative.
+successors, both read from that one representative.  A listing skips
+the sites ``moves._unrepeated`` knows to repeat an earlier site's state,
+and keeps the first site reaching each state, so skipping changes no
+result.  Replay does not use the memo: it re-derives each step from a
+freshly built representative.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from .codec import _from_canonical
 from .diagram import Diagram, canonical_string, require_valid, stats
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
-from .moves import MoveSite, _apply_unchecked, _site_applies, enumerate_moves
+from .moves import MoveSite, _apply_unchecked, _site_applies, _unrepeated, enumerate_moves
 from .surface import genus
 
 DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
@@ -39,7 +41,8 @@ DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
 
 
 class SearchError(RuntimeError):
-    """A path the search found did not replay; no verdict is returned."""
+    """A path the search found did not replay, or has a step that no move
+    undoes; no verdict is returned."""
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,20 @@ def _expand(rep: Diagram, max_crossings: int):
     """Deterministic (site, result, canonical result) successors within the
     crossing cap.  The negative curl on a free loop, which
     ``enumerate_moves`` lists only beside R2+stab, is offered whenever R1+
-    fits, so every kink removal stays invertible at the cap."""
+    fits, so every kink removal stays invertible at the cap.
+
+    Sites that ``moves._unrepeated`` knows to repeat an earlier site's
+    state (mirrored R2 pushes, free-loop indices other than 0, a second
+    R2- bigon on one vertex pair) are not applied.  The first site giving
+    each state is always kept, so searches reach the same states through
+    the same first sites, and record the same parents and paths."""
     room = max_crossings - rep.n_vertices
     kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
     sites = enumerate_moves(rep, kinds)
     if room == 1 and rep.free_loops:  # R1+ fits, R2+stab does not
         sites += [MoveSite("R1+", ("loop", i), "ro") for i in range(rep.free_loops)]
         sites.sort(key=MoveSite.sort_key)
-    for site in sites:
+    for site in _unrepeated(rep, sites):
         result = _apply_unchecked(rep, site)
         yield site, result, canonical_string(result)
 
@@ -299,7 +308,7 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
         back = next((site for site, cs3 in _successors(cs, bounds.max_crossings)
                      if cs3 == prev), None)
         if back is None:
-            return SearchOutcome("unknown", None, (), explored, False)
+            raise SearchError("equivalence path has a step with no inverse move")
         path.append((back, prev))
         cs = prev
     path_t = tuple(path)

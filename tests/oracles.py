@@ -7,11 +7,14 @@ scans, ranks over GF(p) for Alexander-quandle colorings, and canonical
 strings emitted in full for every component order and start.  None of it
 shares code paths with the production algorithms, except that the
 coloring oracles read the arcs from ``vlink.invariants._arcs`` and the
-search oracles take their successors from the production move set,
-``vlink.search._expand``: they pin the breadth-first loop, the budget
-and the ranking, not the moves.  Their representatives come from the
-text parser, ``to_diagram(parse_gauss(cs))``, not from the search's own
-builder ``vlink.search._rep``.
+search oracles apply the production moves: ``full_listing`` applies
+every site ``vlink.moves.enumerate_moves`` lists within the crossing
+cap, plus the negative free-loop curls where only R1+ fits, and skips
+none of them.  So they pin the breadth-first loop, the budget, the
+ranking and the search's skipping of repeated sites, not the moves.
+Their representatives come from the text parser,
+``to_diagram(parse_gauss(cs))``, not from the search's own builder
+``vlink.search._rep``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import Diagram, canonical_string
 from vlink.invariants import DELTA, LaurentPoly, Quandle
-from vlink.search import _expand
+from vlink.moves import MoveSite, _apply_unchecked, enumerate_moves
 from vlink.surface import genus
 
 
@@ -212,6 +215,23 @@ def linear_colorings(d: Diagram, p: int, t: int) -> int:
     return p ** (n_arcs - rank)
 
 
+# crossings each move kind adds
+GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
+
+
+def full_listing(rep: Diagram, max_crossings: int) -> list[tuple[MoveSite, str]]:
+    """(site, canonical result) for every site of the moves that fit under
+    the crossing cap, in ``MoveSite.sort_key`` order, repeats included.
+    Where R1+ fits but R2+stab does not, the negative curl on each free
+    loop, which ``enumerate_moves`` lists only beside R2+stab, is added."""
+    room = max_crossings - rep.n_vertices
+    sites = enumerate_moves(rep, {kind for kind, g in GROWTH.items() if g <= room})
+    if room == 1:
+        sites += [MoveSite("R1+", ("loop", i), "ro") for i in range(rep.free_loops)]
+        sites.sort(key=MoveSite.sort_key)
+    return [(site, canonical_string(_apply_unchecked(rep, site))) for site in sites]
+
+
 def _bfs_closure(start_cs: str, bounds):
     """Layer-by-layer closure that keeps expanding after the state budget
     is spent and discards what it finds; returns (visited, truncated)."""
@@ -225,7 +245,7 @@ def _bfs_closure(start_cs: str, bounds):
             break
         next_frontier = []
         for cs in sorted(frontier):
-            for _, _, cs2 in _expand(_rep(cs), bounds.max_crossings):
+            for _, cs2 in full_listing(_rep(cs), bounds.max_crossings):
                 if cs2 in visited:
                     continue
                 if bounds.max_states is not None and len(visited) >= bounds.max_states:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import vlink.search
 from vlink.cli import main
 
 
@@ -162,6 +163,17 @@ def test_state_sum_cap_exits_3(files, tmp_path):
         assert time.perf_counter() - t0 < 10
         assert code == 3 and out == ""
         assert err == f"vlink {argv[0]}: 21 crossings exceeds the state-sum cap 20\n"
+
+
+def test_unreplayable_path_exits_4(files, tmp_path, monkeypatch):
+    monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
+    corpus = tmp_path / "kinks.txt"
+    corpus.write_text("*\nO1+ U1+\n")
+    for argv in (["equiv", files["kink.gauss"], files["unknot.gauss"]],
+                 ["classify", str(corpus)]):
+        code, out, err = run_cli_err(argv)
+        assert (code, out) == (4, ""), argv
+        assert len(err.splitlines()) == 1 and "failed to replay" in err
 
 
 def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):

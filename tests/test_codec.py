@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vlink.codec import (
+    MAX_JSON_FREE_LOOPS,
     GaussCodeError,
     SignedGaussCode,
     Token,
@@ -182,6 +183,26 @@ def test_json_rejects_malformed():
                  '{"darts":1e400,"vertex_rotations":[],"edge_involution":[],"over_under":[],"free_loops":0}'):
         with pytest.raises(GaussCodeError):
             loads(text)
+
+
+@pytest.mark.parametrize("loops", ["1e12", "1000000000000", '"7"', "true", "1.0", "1025"])
+def test_json_free_loops_are_bounded_integers(loops):
+    text = ('{"darts":0,"vertex_rotations":[],"edge_involution":[],"over_under":[],'
+            f'"free_loops":{loops}}}')
+    with pytest.raises(GaussCodeError):
+        loads(text)
+    assert loads(text.replace(f":{loops}}}", f":{MAX_JSON_FREE_LOOPS}}}")).free_loops == 1024
+
+
+def test_json_fields_are_integers():
+    obj = diagram_to_json(to_diagram(parse_gauss("O1+ U1+")))
+    with_true = [True if x == 1 else x for x in obj["edge_involution"]]
+    for key, bad in (("darts", 4.0), ("darts", "4"), ("edge_involution", with_true)):
+        with pytest.raises(GaussCodeError, match="JSON integer"):
+            diagram_from_json({**obj, key: bad})
+    entry = {**obj["over_under"][0], "over_in": float(obj["over_under"][0]["over_in"])}
+    with pytest.raises(GaussCodeError, match="JSON integer"):
+        diagram_from_json({**obj, "over_under": [entry]})
 
 
 def test_json_accepts_arbitrary_dart_labels():

@@ -1,7 +1,10 @@
 import hashlib
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlink.codec import parse_gauss, to_diagram
 import vlink.moves
@@ -188,3 +191,46 @@ def test_move_results_match_golden_digest():
             n_sites += 1
     assert (len(corpus), n_sites) == (324, 94048)
     assert h.hexdigest() == "3e0b594efc7b5b4c45b0613dced48c60fccdedc01e5ed11685205959294dcc03"
+
+
+def _is_push(d: Diagram, site: MoveSite) -> bool:
+    """An R2 push of one side across another: not a fold, not a handle
+    interleave and not a free-loop site."""
+    if site.kind not in ("R2+", "R2+stab") or not isinstance(site.where[0], int):
+        return False
+    x, y = site.where
+    return x != y and y != d.edge_pair[x]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32), st.booleans(),
+       st.lists(st.integers(0, 2**16), min_size=1, max_size=4))
+def test_sites_the_search_skips_repeat_earlier_ones(seed, grown, picks):
+    # the three facts vlink.moves._unrepeated relies on, checked here on
+    # the public move functions; an R2 move first adds bigons, and a free
+    # loop attached across an edge makes two on one vertex pair
+    d = random_diagram(random.Random(seed), max_v=3, max_comps=3, max_loops=3)
+    r2 = enumerate_moves(d, {"R2+", "R2+stab"})
+    if grown and r2:
+        d = apply_move(d, r2[picks[0] % len(r2)])
+    sites = enumerate_moves(d, ALL_KINDS)
+    listed = set(sites)
+    pushes = [s for s in sites if _is_push(d, s)]
+    # pushing x over y is pushing y under x
+    for k in picks if pushes else ():
+        site = pushes[k % len(pushes)]
+        x, y = site.where
+        mirror = MoveSite(site.kind, (y, x), "under" if site.variant == "over" else "over")
+        assert mirror in listed
+        assert canonical_string(apply_move(d, site)) == canonical_string(apply_move(d, mirror))
+    # every free-loop index, and every R2- bigon on one vertex pair, gives
+    # one Diagram value
+    same = defaultdict(list)
+    for site in sites:
+        if site.kind == "R2-":
+            same[frozenset(d.vertex_of[x] for x in site.where)].append(site)
+        elif site.where[0] in ("loop", "loopself", "loops"):
+            src = site.where[2:] if site.where[0] == "loop" else ()
+            same[(site.kind, site.where[0], src, site.variant)].append(site)
+    for group in same.values():
+        assert len({apply_move(d, site) for site in group}) == 1

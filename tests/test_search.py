@@ -24,7 +24,7 @@ from vlink.search import (
 from vlink.surface import genus
 
 from helpers import all_connected_diagrams, random_diagram, random_diagrams
-from oracles import naive_minimize, naive_orbit
+from oracles import full_listing, naive_minimize, naive_orbit
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -166,6 +166,22 @@ def test_loop_curl_check_matches_enumeration():
     assert checked >= 100
 
 
+def _first_occurrences(pairs) -> list:
+    """The (site, state) pairs that give a state no earlier pair gave."""
+    seen = set()
+    return [(site, cs) for site, cs in pairs if not (cs in seen or seen.add(cs))]
+
+
+def _check_listing(rep, cap, full) -> int:
+    """``_expand`` lists a subsequence of ``full`` with the same first
+    occurrence of every state; returns how many pairs it skipped."""
+    got = [(site, cs) for site, _, cs in _expand(rep, cap)]
+    rest = iter(full)
+    assert all(pair in rest for pair in got)
+    assert _first_occurrences(got) == _first_occurrences(full)
+    return len(full) - len(got)
+
+
 def test_expand_lists_loop_curls_without_r2stab():
     # the listing _expand replaced: R2+stab requested one crossing below the
     # cap only for its negative loop curls, everything else filtered out
@@ -177,10 +193,31 @@ def test_expand_lists_loop_curls_without_r2stab():
             kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
             if room >= 1:
                 kinds.add("R2+stab")
-            old = [site for site in enumerate_moves(d, kinds) if _GROWTH[site.kind] <= room]
-            assert [site for site, _, _ in _expand(d, d.n_vertices + room)] == old
+            old = [(site, canonical_string(_apply_unchecked(d, site)))
+                   for site in enumerate_moves(d, kinds) if _GROWTH[site.kind] <= room]
+            _check_listing(d, d.n_vertices + room, old)
             checked += room == 1
     assert checked >= 20
+
+
+def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
+    # the skipped sites repeat earlier states, so searches record the
+    # same parents; checked against every site the move set lists
+    unknot = orbit(UNKNOT, SearchBounds(4, max_states=None))
+    assert not unknot.truncated
+    cases = [(cs, 4) for cs in sorted(unknot.states)]
+    cases += [(canonical_string(d), d.n_vertices + 1) for d in corpus_v3]
+    cases += [(canonical_string(d), d.n_vertices + 2) for d in corpus_v3[::8]]
+    cases += [(canonical_string(d), d.n_vertices + room)
+              for d in random_diagrams(41, 100, max_v=4, max_comps=3, max_loops=3)
+              for room in (1, 2)]
+    skipped = 0
+    for cs, cap in cases:
+        rep = _rep(cs)
+        skipped += _check_listing(rep, cap, full_listing(rep, cap))
+    # every repeat moves._unrepeated knows of: pinned, so that a site it
+    # stops skipping shows here although the results stay the same
+    assert skipped == 23034
 
 
 def _clear_memos():
@@ -308,6 +345,21 @@ def test_unreplayable_path_raises(monkeypatch):
     monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
     with pytest.raises(SearchError, match="failed to replay"):
         equivalent(KINK, UNKNOT, SearchBounds(max_crossings=3, max_states=4000))
+
+
+def test_backward_step_without_inverse_raises(monkeypatch):
+    # a move set without curls on diagrams that have crossings: the
+    # backward search reaches KINK from DOUBLED by R1-, and no move of
+    # KINK's listing leads back
+    real = vlink.search._expand
+    monkeypatch.setattr(vlink.search, "_expand", lambda rep, cap: (
+        step for step in real(rep, cap) if step[0].kind != "R1+" or not rep.n_vertices))
+    _clear_memos()
+    try:
+        with pytest.raises(SearchError, match="no inverse"):
+            equivalent(UNKNOT, DOUBLED, SearchBounds(max_crossings=3, max_states=4000))
+    finally:
+        _clear_memos()
 
 
 def test_equivalent_distinguishes_trefoil_from_unknot_by_colorings():

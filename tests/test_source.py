@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import vlink
@@ -18,3 +19,38 @@ def test_no_bare_assert_in_src():
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def _is_lru_cache(node) -> bool:
+    """``node`` names ``functools.lru_cache``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "lru_cache" and getattr(node.value, "id", None) == "functools"
+    return isinstance(node, ast.Name) and node.id == "lru_cache"
+
+
+def test_every_cache_has_a_size_bound():
+    # an unbounded cache grows for the life of the process, so each
+    # lru_cache names a positive integer maxsize and functools.cache is unused
+    found, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        module = "vlink" if path.stem == "__init__" else f"vlink.{path.stem}"
+        namespace = vars(importlib.import_module(module))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and getattr(node.value, "id", None) == "functools") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    and any(alias.name == "cache" for alias in node.names)):
+                found.append(f"{where}: functools.cache")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{where}: lru_cache without arguments"
+                          for dec in node.decorator_list if _is_lru_cache(dec)]
+            if isinstance(node, ast.Call) and _is_lru_cache(node.func):
+                size = next((k.value for k in node.keywords if k.arg == "maxsize"),
+                            node.args[0] if node.args else None)
+                value = None if size is None else eval(
+                    compile(ast.Expression(size), str(path), "eval"), namespace)
+                if type(value) is not int or value <= 0:
+                    found.append(f"{where}: lru_cache maxsize {value!r}")
+                checked += 1
+    assert checked and found == []
