@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import Diagram, _from_code, require_valid, serialize_default
+from .diagram import Diagram, _from_code, require_valid
 
 
 class GaussCodeError(ValueError):
@@ -196,9 +196,16 @@ def _from_canonical(cs: str) -> Diagram:
 
 
 def from_diagram(d: Diagram) -> SignedGaussCode:
-    """Traversal-order code: components ordered by least dart, each started at
-    its least pass, crossings renumbered 1..n by first traversal."""
-    return parse_gauss(serialize_default(d))
+    """The code of :attr:`Diagram.passes`: one component per strand
+    circuit, ordered by least in-dart and started there, crossings
+    renumbered 1..n by first traversal; raises
+    :class:`~vlink.diagram.DiagramError` on an invalid diagram."""
+    label: dict[int, int] = {}
+    components = tuple(
+        tuple(Token(role, label.setdefault(v, len(label) + 1), 1 if sgn == "+" else -1)
+              for v, role, sgn in row)
+        for row in d.passes)
+    return SignedGaussCode(components, d.free_loops)
 
 
 def diagram_to_json(d: Diagram) -> dict:
@@ -236,8 +243,9 @@ def _json_int(value) -> int:
 
 def diagram_from_json(obj: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the reconstructed map.
-    Every field holds JSON integers, and ``free_loops`` is at most
-    ``MAX_JSON_FREE_LOOPS``."""
+    Every field holds JSON integers, ``free_loops`` is at most
+    ``MAX_JSON_FREE_LOOPS``, and each ``under_out`` is the dart opposite
+    its ``under_in``."""
     try:
         n = _json_int(obj["darts"])
         rotations = tuple(tuple(_json_int(x) for x in rot) for rot in obj["vertex_rotations"])
@@ -256,11 +264,11 @@ def diagram_from_json(obj: dict) -> Diagram:
     if n != 4 * len(rotations):
         raise GaussCodeError("dart count does not match vertex count")
     inbound = [False] * n
-    over = []
+    over, under = [], []
     for entry in over_under:
         try:
             o_in, u_in = _json_int(entry["over_in"]), _json_int(entry["under_in"])
-            o_out = _json_int(entry["over_out"])
+            o_out, u_out = _json_int(entry["over_out"]), _json_int(entry["under_out"])
         except (KeyError, TypeError) as exc:
             raise GaussCodeError(f"malformed over_under entry: {exc}") from None
         if not (0 <= o_in < n and 0 <= u_in < n):
@@ -268,7 +276,12 @@ def diagram_from_json(obj: dict) -> Diagram:
         inbound[o_in] = True
         inbound[u_in] = True
         over.append(tuple(sorted((o_in, o_out))))
-    return require_valid(Diagram(rotations, edge, tuple(over), tuple(inbound), free_loops))
+        under.append((u_in, u_out))
+    d = require_valid(Diagram(rotations, edge, tuple(over), tuple(inbound), free_loops))
+    for u_in, u_out in under:
+        if d.opposite[u_in] != u_out:
+            raise GaussCodeError(f"under_out {u_out} is not the dart opposite under_in {u_in}")
+    return d
 
 
 def dumps(d: Diagram) -> str:

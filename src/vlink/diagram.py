@@ -22,7 +22,10 @@ over-in dart counterclockwise, -1 when it immediately precedes it.
 
 Diagrams are immutable values.  Constructors in :mod:`vlink.codec` and
 :mod:`vlink.moves` only build valid diagrams; arbitrary field values may
-represent broken maps, which :func:`validate` reports as data.
+represent broken maps, which :func:`validate` reports as data.  One scan
+of the fields, cached on the diagram, finds those violations and reads
+the signed Gauss code of a valid diagram: :attr:`Diagram.passes` is the
+one reading of its strands.
 """
 
 from __future__ import annotations
@@ -79,8 +82,21 @@ class Diagram:
         return tuple(sigma[s] if 0 <= (s := sigma[d]) < n else -1 for d in range(n))
 
     @cached_property
+    def _scanned(self):
+        errs, tables = _scan(self)
+        return tuple(errs), tuple(tables)
+
+    @property
     def violations(self) -> tuple[str, ...]:
-        return tuple(_scan(self)[0])
+        return self._scanned[0]
+
+    @property
+    def passes(self) -> tuple[tuple[tuple[int, str, str], ...], ...]:
+        """Per strand circuit, one ``(vertex, role, sign)`` triple per pass
+        in strand order, as :func:`_scan` reads them; raises
+        :class:`DiagramError` as :func:`require_valid` does."""
+        require_valid(self)
+        return self._scanned[1]
 
     @property
     def is_valid(self) -> bool:
@@ -98,34 +114,6 @@ class Diagram:
         rot = self.rotations[v]
         under = [d for d in rot if d not in self.over_pair[v]]
         return under[0] if self.inbound[under[0]] else under[1]
-
-    def sign(self, v: int) -> int:
-        """Crossing sign derived from rotation, decoration and orientation."""
-        return 1 if self.sigma[self.over_in(v)] == self.under_in(v) else -1
-
-    @cached_property
-    def strand_circuits(self) -> tuple[tuple[int, ...], ...]:
-        """Closed strand walks, each a cyclic tuple of pass in-darts.
-
-        Each circuit is rotated to start at its least dart; circuits are
-        sorted by that dart.  Free loops are not included.
-        """
-        edge_pair, opposite, inbound = self.edge_pair, self.opposite, self.inbound
-        seen = set()
-        circuits = []
-        for d in range(self.n_darts):
-            if d in seen or not inbound[d]:
-                continue
-            walk = []
-            x = d
-            while x not in seen:
-                seen.add(x)
-                walk.append(x)
-                x = edge_pair[opposite[x]]
-            k = walk.index(min(walk))
-            circuits.append(tuple(walk[k:] + walk[:k]))
-        circuits.sort(key=lambda c: c[0])
-        return tuple(circuits)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -184,19 +172,20 @@ class DiagramStats:
     writhe: int
 
 
-def _scan(d: Diagram) -> tuple[list[str], list[list[tuple[int, str, str]]]]:
+def _scan(d: Diagram) -> tuple[list[str], list[tuple[tuple[int, str, str], ...]]]:
     """The invariant violations of ``d`` and, when there are none, per
     strand circuit one ``(vertex, role, sign)`` triple per pass, role
     ``"O"``/``"U"`` and sign ``"+"``/``"-"``.
 
     One pass over the raw fields checks every condition and reads the
-    circuits in :attr:`Diagram.strand_circuits` order: each starts at the
-    least in-dart not on an earlier one.  The over-in and under-in darts
-    of a vertex are its circuit entries, and the sign is ``+`` when the
-    dart counterclockwise after the over-in is inbound.  A message is
-    formatted only for a condition that fails; a failed length check
-    ends the scan, a broken rotation partition ends it after every
-    rotation is read, and otherwise it reports every edge and vertex.
+    circuits in order of their least in-darts: each starts at the least
+    in-dart not on an earlier one.  Free loops have no circuit.  The
+    over-in and under-in darts of a vertex are its circuit entries, and
+    the sign is ``+`` when the dart counterclockwise after the over-in is
+    inbound.  A message is formatted only for a condition that fails; a
+    failed length check ends the scan, a broken rotation partition ends
+    it after every rotation is read, and otherwise it reports every edge
+    and vertex.
     """
     errs: list[str] = []
     rotations, edge_pair, over_pair, inbound = d.rotations, d.edge_pair, d.over_pair, d.inbound
@@ -279,7 +268,7 @@ def _scan(d: Diagram) -> tuple[list[str], list[list[tuple[int, str, str]]]]:
             entry[x] = None
             row.append(e)
             x = edge_pair[opposite[x]]
-        tables.append(row)
+        tables.append(tuple(row))
     return errs, tables
 
 
@@ -295,11 +284,12 @@ def require_valid(d: Diagram) -> Diagram:
 
 
 def stats(d: Diagram) -> DiagramStats:
-    require_valid(d)
+    passes = d.passes
     return DiagramStats(
         crossings=d.n_vertices,
-        components=len(d.strand_circuits) + d.free_loops,
-        writhe=sum(d.sign(v) for v in range(d.n_vertices)),
+        components=len(passes) + d.free_loops,
+        writhe=sum(1 if sgn == "+" else -1
+                   for row in passes for _, role, sgn in row if role == "O"),
     )
 
 
@@ -401,18 +391,26 @@ def _from_code(components, positive, free_loops: int) -> Diagram:
     return _insert(EMPTY, outs, runs, [0] * len(outs), free_loops)
 
 
-def _least_serialization(d: Diagram, every_choice: bool) -> str:
-    """The least signed Gauss string over component orders and starting
-    passes, crossings renumbered by first traversal.
+@lru_cache(maxsize=2**17)
+def canonical_string(d: Diagram) -> str:
+    """Isomorphism-invariant serialization.
 
-    With ``every_choice`` the minimum runs over every component order and
-    every starting pass; otherwise the only choice is circuit order with
-    least-dart starts.  Choices are explored depth first, one component
-    at a time, and a branch is dropped as soon as its emitted prefix is
-    larger than the same prefix of the best string so far.  Every
-    serialization of a diagram has the same length (each crossing name
-    occurs twice in all of them), so a larger prefix never completes to
-    a smaller string and the pruning never changes the result.
+    Two valid diagrams are isomorphic as decorated oriented maps iff
+    their canonical strings are equal: the string is the least signed
+    Gauss string over every component order and every starting pass,
+    crossings renumbered by first traversal.  Choices are explored depth
+    first, one component at a time, and a branch is dropped as soon as
+    its emitted prefix is larger than the same prefix of the best string
+    so far.  Every serialization of a diagram has the same length (each
+    crossing name occurs twice in all of them), so a larger prefix never
+    completes to a smaller string and the pruning never changes the
+    result, which ``tests/oracles.naive_canonical_string`` recomputes by
+    listing every choice.  One pass of :func:`_scan` over ``d``'s fields
+    both validates it, raising :class:`DiagramError` as
+    :func:`require_valid` does, and reads the passes the search
+    serializes; none of ``d``'s cached properties is computed, so the
+    cached move results hold no tables.  The cache holds up to 2**17
+    diagrams.
     """
     errs, tables = _scan(d)
     if errs:
@@ -436,12 +434,12 @@ def _least_serialization(d: Diagram, every_choice: bool) -> str:
             return
         n_parts = len(parts)
         lead = " / " if n_parts else ""
-        for k, ci in enumerate(remaining if every_choice else remaining[:1]):
+        for k, ci in enumerate(remaining):
             rest = remaining[:k] + remaining[k + 1:]
             row = tables[ci]
             size = len(row)
             cycle = row + row
-            for start in range(size if every_choice else 1):
+            for start in range(size):
                 named, at, same, sep = n_named, pos, tied, lead
                 for j in range(start, start + size):
                     v, role, sgn = cycle[j]
@@ -471,26 +469,3 @@ def _least_serialization(d: Diagram, every_choice: bool) -> str:
     del extend  # the closure refers to itself; free it without the cycle collector
     return f"{best} / {loops}" if loops else best
 
-
-def serialize_default(d: Diagram) -> str:
-    """Deterministic traversal-order serialization (least-dart starts)."""
-    return _least_serialization(d, every_choice=False)
-
-
-@lru_cache(maxsize=2**17)
-def canonical_string(d: Diagram) -> str:
-    """Isomorphism-invariant serialization.
-
-    Two valid diagrams are isomorphic as decorated oriented maps iff
-    their canonical strings are equal: the string is the lexicographic
-    minimum of the traversal serializations over every component order
-    and every starting pass.  The search prunes a choice as soon as its
-    prefix exceeds the best string so far; pruning never changes the
-    result, which ``tests/oracles.naive_canonical_string`` recomputes by
-    listing every choice.  One pass of :func:`_scan` over ``d``'s fields
-    both validates it, raising :class:`DiagramError` as
-    :func:`require_valid` does, and reads the passes the search
-    serializes; none of ``d``'s cached properties is computed.  The
-    cache holds up to 2**17 diagrams.
-    """
-    return _least_serialization(d, every_choice=True)

@@ -334,38 +334,31 @@ def load_quandle(lines) -> Quandle:
 
 
 def _arcs(d: Diagram):
-    """Arc structure: arc count, per-pass arc id, and crossing constraints.
+    """Arc structure: arc count and crossing constraints.
 
-    Arcs are maximal strand runs between underpasses.  Returns
-    (n_arcs, constraints) with constraints (under_in_arc, over_arc,
-    under_out_arc) per vertex; free loops add unconstrained arcs.
+    Arcs are maximal strand runs between underpasses, numbered along
+    :attr:`Diagram.passes`: circuit by circuit, each circuit's arcs in
+    order from the one leaving its first underpass, and a circuit with
+    no underpass is one arc.  Returns (n_arcs, constraints) with
+    constraints (under_in_arc, over_arc, under_out_arc) per vertex; free
+    loops add unconstrained arcs.
     """
-    arc_of_pass: dict[int, int] = {}
+    reach, over, leave = ([0] * d.n_vertices for _ in range(3))
     n_arcs = 0
-    for circ in d.strand_circuits:
-        unders = [i for i, p in enumerate(circ) if not d.is_over(p)]
-        if not unders:
-            for p in circ:
-                arc_of_pass[p] = n_arcs
-            n_arcs += 1
-            continue
-        k = len(circ)
-        for j, u in enumerate(unders):
-            # the arc leaving underpass u, covering passes up to the next underpass
-            end = unders[(j + 1) % len(unders)]
-            i = (u + 1) % k
-            while i != end:
-                arc_of_pass[circ[i]] = n_arcs
-                i = (i + 1) % k
-            arc_of_pass[("out", circ[u])] = n_arcs
-            arc_of_pass[("in", circ[end])] = n_arcs
-            n_arcs += 1
-    constraints = []
-    for v in range(d.n_vertices):
-        u_in = d.under_in(v)
-        o_in = d.over_in(v)
-        constraints.append((arc_of_pass[("in", u_in)], arc_of_pass[o_in], arc_of_pass[("out", u_in)]))
-    return n_arcs + d.free_loops, tuple(constraints)
+    for row in d.passes:
+        unders = [i for i, (_, role, _) in enumerate(row) if role == "U"]
+        m = len(unders) or 1
+        start = unders[0] if unders else 0
+        j = m - 1  # the arc reaching the first underpass is the circuit's last
+        for v, role, _ in row[start:] + row[:start]:
+            if role == "O":
+                over[v] = n_arcs + j
+            else:
+                reach[v] = n_arcs + j
+                j = (j + 1) % m
+                leave[v] = n_arcs + j
+        n_arcs += m
+    return n_arcs + d.free_loops, tuple(zip(reach, over, leave))
 
 
 def quandle_colorings(d: Diagram, q: Quandle) -> int:

@@ -209,8 +209,7 @@ def _unrepeated(d: Diagram, sites: list[MoveSite]):
 def _excise(d: Diagram, removed: frozenset[int]) -> Diagram:
     """Delete the given vertices, running every strand straight through
     them; circuits living entirely on removed vertices become free loops."""
-    extra = sum(1 for circ in d.strand_circuits
-                if all(d.vertex_of[p] in removed for p in circ))
+    extra = sum(1 for row in d.passes if all(v in removed for v, _, _ in row))
     kept = [v for v in range(d.n_vertices) if v not in removed]
     edge = list(d.edge_pair)
     for v in kept:

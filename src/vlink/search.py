@@ -1,11 +1,11 @@
 """Bounded exploration of the move graph.
 
 States are canonical strings; the representative of a state is rebuilt
-deterministically from the string's tokens by ``_rep``, so stored move
-sites always refer to the representative's labels and every path
-replays.  The move set here includes R2+stab, the stabilizing addition
-across distinct faces, without which genus-changing transitions would
-be unreachable.
+deterministically from the string's tokens by ``codec._from_canonical``,
+so stored move sites always refer to the representative's labels and
+every path replays.  The move set here includes R2+stab, the
+stabilizing addition across distinct faces, without which
+genus-changing transitions would be unreachable.
 
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
@@ -90,11 +90,6 @@ class MinimizeResult:
     explored: int
 
 
-def _rep(cs: str) -> Diagram:
-    """The representative of state ``cs``."""
-    return _from_canonical(cs)
-
-
 # crossings each move kind adds
 _GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
@@ -130,7 +125,7 @@ class _Listing:
     is released when its successors are exhausted."""
 
     def __init__(self, cs: str, max_crossings: int):
-        rep = _rep(cs)
+        rep = _from_canonical(cs)
         # (total genus, crossings, canonical string); genus and crossings
         # do not change under isomorphism
         self.rank = (genus(rep).total, rep.n_vertices, cs)
@@ -148,7 +143,7 @@ class _Listing:
                     # an expansion that raised (or was interrupted) resumes
                     # after the pairs already read instead of ending early
                     self._rest = itertools.islice(
-                        _expand(_rep(self._cs), self._cap), len(read), None)
+                        _expand(_from_canonical(self._cs), self._cap), len(read), None)
                     raise
                 if step is None:
                     return
@@ -263,7 +258,7 @@ def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, s
 def _replay(start_cs: str, path, end_cs: str) -> bool:
     cs = start_cs
     for site, expected in path:
-        rep = _rep(cs)
+        rep = _from_canonical(cs)
         if not _site_applies(rep, site):
             return False
         result = _apply_unchecked(rep, site)
@@ -333,7 +328,7 @@ def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:
     bounds.check(d)
     search, (g, v, best) = _minimal_orbit(d, bounds)
     return MinimizeResult(
-        witness=_rep(best),
+        witness=_from_canonical(best),
         total_genus=g,
         crossings=v,
         certified=not search.budget.truncated,

@@ -75,7 +75,7 @@ def complexity_measure(d: Diagram) -> int:
     """g + n - c: total genus plus link components minus surface components."""
     require_valid(d)
     g = genus(d).total
-    n = len(d.strand_circuits) + d.free_loops
+    n = len(d.passes) + d.free_loops
     c = len(d.graph_components) + d.free_loops
     if n < c:
         raise DiagramError(f"{n} link components on {c} surface components")

@@ -4,17 +4,18 @@ Everything here recomputes from first principles: full 2^V state
 enumeration for the bracket, raw permutation orbits for faces, an
 explicit decorated-map isomorphism search, exhaustive arc-coloring
 scans, ranks over GF(p) for Alexander-quandle colorings, and canonical
-strings emitted in full for every component order and start.  None of it
-shares code paths with the production algorithms, except that the
-coloring oracles read the arcs from ``vlink.invariants._arcs`` and the
-search oracles apply the production moves: ``full_listing`` applies
-every site ``vlink.moves.enumerate_moves`` lists within the crossing
-cap, plus the negative free-loop curls where only R1+ fits, and skips
-none of them.  So they pin the breadth-first loop, the budget, the
-ranking and the search's skipping of repeated sites, not the moves.
-Their representatives come from the text parser,
+strings emitted in full for every component order and start.  Strand
+circuits, crossing signs and arcs are read from a diagram's raw fields
+here, not from ``Diagram.passes``.  None of it shares code paths with
+the production algorithms, except that the search oracles apply the
+production moves: ``full_listing`` applies every site
+``vlink.moves.enumerate_moves`` lists within the crossing cap, plus the
+negative free-loop curls where only R1+ fits, and skips none of them.
+So they pin the breadth-first loop, the budget, the ranking and the
+search's skipping of repeated sites, not the moves.  Their
+representatives come from the text parser,
 ``to_diagram(parse_gauss(cs))``, not from the search's own builder
-``vlink.search._rep``.
+``vlink.codec._from_canonical``.
 """
 
 from __future__ import annotations
@@ -93,21 +94,56 @@ def naive_faces(d: Diagram) -> list[tuple[int, ...]]:
     return faces
 
 
-def _serialize(d: Diagram, comp_order: tuple[int, ...], starts: tuple[int, ...]) -> str:
+def _sigma(d: Diagram) -> dict[int, int]:
+    """Counterclockwise next dart at the same vertex."""
+    return {rot[i]: rot[(i + 1) % 4] for rot in d.rotations for i in range(4)}
+
+
+def _ins(d: Diagram, v: int) -> tuple[int, int]:
+    """The over-in and under-in darts of vertex ``v``."""
+    over = d.over_pair[v]
+    over_in = next(x for x in over if d.inbound[x])
+    under_in = next(x for x in d.rotations[v] if x not in over and d.inbound[x])
+    return over_in, under_in
+
+
+def _circuits(d: Diagram) -> list[list[int]]:
+    """Closed strand walks, each the list of its passes' in-darts from its
+    least one, in order of that dart; free loops are not included."""
+    sigma = _sigma(d)
+    seen: set[int] = set()
+    circuits = []
+    for start in range(d.n_darts):
+        if start in seen or not d.inbound[start]:
+            continue
+        walk = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            walk.append(x)
+            x = d.edge_pair[sigma[sigma[x]]]
+        circuits.append(walk)
+    return circuits
+
+
+def _serialize(d: Diagram, circuits, comp_order: tuple[int, ...], starts: tuple[int, ...]) -> str:
     """Emit a signed Gauss string for one choice of component order and
     starting pass per component; crossings renumbered by first traversal."""
+    sigma = _sigma(d)
+    vertex_of = {x: v for v, rot in enumerate(d.rotations) for x in rot}
     names: dict[int, int] = {}
     parts = []
     for ci, si in zip(comp_order, starts):
-        circ = d.strand_circuits[ci]
+        circ = circuits[ci]
         toks = []
         for j in range(len(circ)):
             p = circ[(si + j) % len(circ)]
-            v = d.vertex_of[p]
+            v = vertex_of[p]
             if v not in names:
                 names[v] = len(names) + 1
-            role = "O" if d.is_over(p) else "U"
-            sgn = "+" if d.sign(v) > 0 else "-"
+            over_in, under_in = _ins(d, v)
+            role = "O" if p == over_in else "U"
+            sgn = "+" if sigma[over_in] == under_in else "-"
             toks.append(f"{role}{names[v]}{sgn}")
         parts.append(" ".join(toks))
     parts.extend("*" * d.free_loops)
@@ -116,21 +152,22 @@ def _serialize(d: Diagram, comp_order: tuple[int, ...], starts: tuple[int, ...])
 
 def naive_serialize_default(d: Diagram) -> str:
     """Circuits in order, each from its least dart."""
-    c = len(d.strand_circuits)
-    return _serialize(d, tuple(range(c)), (0,) * c)
+    circuits = _circuits(d)
+    c = len(circuits)
+    return _serialize(d, circuits, tuple(range(c)), (0,) * c)
 
 
 def naive_canonical_string(d: Diagram) -> str:
     """Lexicographic minimum of the serializations over every component
     order and every starting pass, each one emitted in full."""
-    circuits = d.strand_circuits
+    circuits = _circuits(d)
     c = len(circuits)
     if c == 0:
-        return _serialize(d, (), ())
+        return _serialize(d, circuits, (), ())
     best = None
     for comp_order in itertools.permutations(range(c)):
         for starts in itertools.product(*(range(len(circuits[i])) for i in comp_order)):
-            s = _serialize(d, comp_order, starts)
+            s = _serialize(d, circuits, comp_order, starts)
             if best is None or s < best:
                 best = s
     return best
@@ -171,10 +208,35 @@ def find_isomorphism(d1: Diagram, d2: Diagram):
     return None
 
 
+def _arcs(d: Diagram):
+    """(n_arcs, per vertex (under-in arc, over arc, under-out arc)): arcs
+    are the classes of darts joined by edges and by overpasses, so they
+    end at underpasses; free loops add unconstrained arcs."""
+    root = list(range(d.n_darts))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for x in range(d.n_darts):
+        root[find(x)] = find(d.edge_pair[x])
+    for a, b in d.over_pair:
+        root[find(a)] = find(b)
+    arc: dict[int, int] = {}
+    for x in range(d.n_darts):
+        arc.setdefault(find(x), len(arc))
+    sigma = _sigma(d)
+    constraints = []
+    for v in range(d.n_vertices):
+        over_in, under_in = _ins(d, v)
+        under_out = sigma[sigma[under_in]]
+        constraints.append((arc[find(under_in)], arc[find(over_in)], arc[find(under_out)]))
+    return len(arc) + d.free_loops, constraints
+
+
 def naive_colorings(d: Diagram, q: Quandle) -> int:
     """Count colorings by scanning all n^arcs assignments."""
-    from vlink.invariants import _arcs
-
     n_arcs, constraints = _arcs(d)
     count = 0
     for combo in itertools.product(range(q.size), repeat=n_arcs):
@@ -189,8 +251,6 @@ def linear_colorings(d: Diagram, p: int, t: int) -> int:
     over GF(p), p prime and t a unit, as p ** (arcs - rank) of the
     linear system under_out = t*under_in + (1-t)*over.  The dihedral
     quandle R_p is t = -1."""
-    from vlink.invariants import _arcs
-
     n_arcs, constraints = _arcs(d)
     rows = []
     for ai, ao, au in constraints:

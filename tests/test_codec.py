@@ -200,9 +200,14 @@ def test_json_fields_are_integers():
     for key, bad in (("darts", 4.0), ("darts", "4"), ("edge_involution", with_true)):
         with pytest.raises(GaussCodeError, match="JSON integer"):
             diagram_from_json({**obj, key: bad})
-    entry = {**obj["over_under"][0], "over_in": float(obj["over_under"][0]["over_in"])}
-    with pytest.raises(GaussCodeError, match="JSON integer"):
-        diagram_from_json({**obj, "over_under": [entry]})
+    under = obj["over_under"][0]
+    missing = {k: v for k, v in under.items() if k != "under_out"}
+    for entry, message in (({**under, "over_in": float(under["over_in"])}, "JSON integer"),
+                           ({**under, "under_out": "junk"}, "JSON integer"),
+                           (missing, "under_out"),
+                           ({**under, "under_out": under["under_in"]}, "not the dart opposite")):
+        with pytest.raises(GaussCodeError, match=message):
+            diagram_from_json({**obj, "over_under": [entry]})
 
 
 def test_json_accepts_arbitrary_dart_labels():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlink.codec import parse_gauss, to_diagram
+from vlink.codec import emit_gauss, from_diagram, parse_gauss, to_diagram
 from vlink.diagram import (
     EMPTY,
     UNKNOT,
@@ -16,10 +16,10 @@ from vlink.diagram import (
     disjoint_union,
     mirror,
     relabel,
-    serialize_default,
     stats,
     validate,
 )
+from vlink.invariants import dihedral_quandle, quandle_colorings
 from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
 from vlink.search import SearchBounds, orbit
 
@@ -149,7 +149,7 @@ def _relabelled(d: Diagram, rng: random.Random) -> Diagram:
 def _assert_matches_oracle(diagrams) -> int:
     for d in diagrams:
         assert canonical_string(d) == naive_canonical_string(d), naive_canonical_string(d)
-        assert serialize_default(d) == naive_serialize_default(d), naive_canonical_string(d)
+        assert emit_gauss(from_diagram(d)) == naive_serialize_default(d), naive_canonical_string(d)
     return len(diagrams)
 
 
@@ -163,12 +163,12 @@ def test_canonical_matches_oracle_on_corpora():
 def test_canonical_matches_oracle_on_multicomponent_links():
     rng = random.Random(47)
     links = [d for d in random_diagrams(53, 600, max_v=6, max_comps=3, max_loops=2)
-             if len(d.strand_circuits) >= 2]
+             if len(d.passes) >= 2]
     chain = to_diagram(parse_gauss(
         "O1+ U2+ / U1+ O2+ O3- U4- / U3- O4- O5+ U6+ / U5+ O6+ / * / *"))
     links += [chain, disjoint_union(TREFOIL, VT), disjoint_union(VT, disjoint_union(KINK, UNKNOT))]
     links += [_relabelled(d, rng) for d in links]
-    assert any(len(d.strand_circuits) == 3 and d.free_loops for d in links)
+    assert any(len(d.passes) == 3 and d.free_loops for d in links)
     assert _assert_matches_oracle(links) > 200
 
 
@@ -260,15 +260,16 @@ def diagram_shaped(draw) -> Diagram:
 def test_serializations_reject_exactly_what_validate_reports(d):
     errs = validate(d)
     if errs:
-        for serialize in (canonical_string, serialize_default):
+        for read in (canonical_string, from_diagram, stats,
+                     lambda d: quandle_colorings(d, dihedral_quandle(3))):
             with pytest.raises(DiagramError) as info:
-                serialize(d)
+                read(d)
             assert str(info.value) == "invalid diagram: " + "; ".join(errs)
     else:
         # an accepted diagram is isomorphic to the valid one its string builds
         cs = canonical_string(d)
         assert cs == naive_canonical_string(d)
-        assert serialize_default(d) == naive_serialize_default(d)
+        assert emit_gauss(from_diagram(d)) == naive_serialize_default(d)
         assert find_isomorphism(d, to_diagram(parse_gauss(cs))) is not None
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vlink.codec import GaussCodeError, parse_gauss, to_diagram
+from vlink.codec import GaussCodeError, _from_canonical, parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
@@ -13,7 +13,6 @@ from vlink.search import (
     SearchBounds,
     SearchError,
     _expand,
-    _rep,
     _successors,
     classify_corpus,
     equivalent,
@@ -213,7 +212,7 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
               for room in (1, 2)]
     skipped = 0
     for cs, cap in cases:
-        rep = _rep(cs)
+        rep = _from_canonical(cs)
         skipped += _check_listing(rep, cap, full_listing(rep, cap))
     # every repeat moves._unrepeated knows of: pinned, so that a site it
     # stops skipping shows here although the results stay the same
@@ -226,7 +225,7 @@ def _clear_memos():
 
 def _pairs(cs: str, cap: int) -> list:
     """The (site, canonical result) successors of ``cs``, without the memo."""
-    return [(site, cs2) for site, _, cs2 in _expand(_rep(cs), cap)]
+    return [(site, cs2) for site, _, cs2 in _expand(_from_canonical(cs), cap)]
 
 
 def test_results_do_not_depend_on_memo_state():
@@ -324,7 +323,7 @@ def test_rep_builds_what_the_parser_builds(corpus_v3):
     assert not res.truncated and len(res.states) == 1531
     others = corpus_v3 + random_diagrams(29, 300, max_v=6, max_comps=3, max_loops=2)
     for cs in sorted(res.states | {canonical_string(d) for d in others}):
-        assert _rep(cs) == to_diagram(parse_gauss(cs)), cs
+        assert _from_canonical(cs) == to_diagram(parse_gauss(cs)), cs
 
 
 @pytest.mark.parametrize("cs", [
@@ -334,7 +333,7 @@ def test_rep_builds_what_the_parser_builds(corpus_v3):
 ])
 def test_rep_rejects_malformed_states(cs):
     with pytest.raises(GaussCodeError):
-        _rep(cs)
+        _from_canonical(cs)
 
 
 def test_memos_are_bounded():
@@ -469,8 +468,8 @@ def test_each_state_is_parsed_once(monkeypatch):
     # a state's listing reads its rank and its successors from one parse;
     # minimize's one further parse rebuilds the witness
     calls = []
-    real = vlink.search._rep
-    monkeypatch.setattr(vlink.search, "_rep", lambda cs: calls.append(cs) or real(cs))
+    real = vlink.search._from_canonical
+    monkeypatch.setattr(vlink.search, "_from_canonical", lambda cs: calls.append(cs) or real(cs))
     _clear_memos()
     m = minimize(DOUBLED, SearchBounds(4, max_states=300))
     assert len(calls) == m.explored + 1 == 301

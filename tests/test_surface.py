@@ -82,7 +82,7 @@ def test_complexity_measure():
 
 def test_complexity_measure_rejects_fewer_links_than_surfaces():
     class NoCircuits(Diagram):
-        strand_circuits = ()
+        passes = ()
 
     d = NoCircuits(TREFOIL.rotations, TREFOIL.edge_pair, TREFOIL.over_pair, TREFOIL.inbound)
     with pytest.raises(DiagramError, match="0 link components on 1 surface"):
