@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import Diagram, _from_code, require_valid
+from .diagram import Diagram, _from_passes, require_valid
 
 
 class GaussCodeError(ValueError):
@@ -143,14 +143,9 @@ def to_diagram(code: SignedGaussCode) -> Diagram:
     """
     _validate_code(code.components, code.free_loops)
     vertex: dict[int, int] = {}
-    positive = []
-    for comp in code.components:
-        for tok in comp:
-            if tok.index not in vertex:
-                vertex[tok.index] = len(vertex)
-                positive.append(tok.sign > 0)
-    components = [[(vertex[t.index], t.role == "U") for t in comp] for comp in code.components]
-    return require_valid(_from_code(components, positive, code.free_loops))
+    rows = [[(vertex.setdefault(t.index, len(vertex)), t.role, "+" if t.sign > 0 else "-")
+             for t in comp] for comp in code.components]
+    return require_valid(_from_passes(rows, code.free_loops))
 
 
 _OTHER_ROLE = {"O": "U", "U": "O"}
@@ -165,7 +160,7 @@ def _from_canonical(cs: str) -> Diagram:
     with one sign, raises :class:`GaussCodeError`."""
     vertex: dict[str, int] = {}  # crossing index text -> vertex
     partner: list[str | None] = []  # per vertex, the token still to come
-    positive, components, loops = [], [], 0
+    rows, loops = [], 0
     for part in cs.split(" / ") if cs else ():
         if part == "*":
             loops += 1
@@ -181,18 +176,17 @@ def _from_canonical(cs: str) -> Diagram:
                     raise GaussCodeError(f"malformed token {tok!r} in {cs!r}")
                 v = vertex[index] = len(partner)
                 partner.append(_OTHER_ROLE[role] + tok[1:])
-                positive.append(sign == "+")
             elif partner[v] == tok:
                 partner[v] = None
             else:
                 raise GaussCodeError(f"crossing {index} of {cs!r} does not occur "
                                      "once as O and once as U with one sign")
-            passes.append((v, tok[0] == "U"))
-        components.append(passes)
+            passes.append((v, tok[0], tok[-1]))
+        rows.append(passes)
     for tok in partner:
         if tok is not None:
             raise GaussCodeError(f"crossing {tok[1:-1]} of {cs!r} occurs once")
-    return require_valid(_from_code(components, positive, loops))
+    return require_valid(_from_passes(rows, loops))
 
 
 def from_diagram(d: Diagram) -> SignedGaussCode:
@@ -209,7 +203,8 @@ def from_diagram(d: Diagram) -> SignedGaussCode:
 
 
 def diagram_to_json(d: Diagram) -> dict:
-    """Lossless JSON-ready mapping with the fixed field names."""
+    """Lossless JSON-ready mapping with the fixed field names; raises on an invalid diagram."""
+    require_valid(d)
     over_under = []
     for v in range(d.n_vertices):
         o_in = d.over_in(v)
@@ -244,7 +239,8 @@ def _json_int(value) -> int:
 def diagram_from_json(obj: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the reconstructed map.
     Every field holds JSON integers, ``free_loops`` is at most
-    ``MAX_JSON_FREE_LOOPS``, and each ``under_out`` is the dart opposite
+    ``MAX_JSON_FREE_LOOPS``, entry ``v`` of ``over_under`` names darts of
+    ``vertex_rotations[v]``, and each ``under_out`` is the dart opposite
     its ``under_in``."""
     try:
         n = _json_int(obj["darts"])
@@ -278,7 +274,9 @@ def diagram_from_json(obj: dict) -> Diagram:
         over.append(tuple(sorted((o_in, o_out))))
         under.append((u_in, u_out))
     d = require_valid(Diagram(rotations, edge, tuple(over), tuple(inbound), free_loops))
-    for u_in, u_out in under:
+    for v, (u_in, u_out) in enumerate(under):
+        if u_in not in rotations[v]:
+            raise GaussCodeError(f"under_in {u_in} of entry {v} is not a dart of vertex {v}")
         if d.opposite[u_in] != u_out:
             raise GaussCodeError(f"under_out {u_out} is not the dart opposite under_in {u_in}")
     return d

@@ -20,12 +20,12 @@ Crossing sign convention (this fixes the embedding produced from signed
 Gauss codes): sign +1 when the under-in dart immediately follows the
 over-in dart counterclockwise, -1 when it immediately precedes it.
 
-Diagrams are immutable values.  Constructors in :mod:`vlink.codec` and
-:mod:`vlink.moves` only build valid diagrams; arbitrary field values may
-represent broken maps, which :func:`validate` reports as data.  One scan
-of the fields, cached on the diagram, finds those violations and reads
-the signed Gauss code of a valid diagram: :attr:`Diagram.passes` is the
-one reading of its strands.
+Diagrams are immutable values; arbitrary field values may represent
+broken maps, which :func:`validate` reports as data.  One scan of the
+fields, cached on the diagram, finds those violations and reads the
+signed Gauss code of a valid diagram (:attr:`Diagram.passes`).  Every
+diagram built from a code, parsed or a move result, goes through the
+one map builder :func:`_from_passes`.
 """
 
 from __future__ import annotations
@@ -97,6 +97,18 @@ class Diagram:
         :class:`DiagramError` as :func:`require_valid` does."""
         require_valid(self)
         return self._scanned[1]
+
+    @cached_property
+    def _slots(self) -> dict[int, tuple[int, int]]:
+        """Dart -> (circuit, position) in :attr:`passes` of the pass its edge enters."""
+        slots = {}
+        for ci, row in enumerate(self.passes):
+            v, role, _ = row[0]
+            x = self.over_in(v) if role == "O" else self.under_in(v)
+            for i in range(len(row)):
+                slots[x] = slots[self.edge_pair[x]] = (ci, i)
+                x = self.edge_pair[self.opposite[x]]
+        return slots
 
     @property
     def is_valid(self) -> bool:
@@ -334,61 +346,41 @@ def relabel(d: Diagram, vertex_order: list[int]) -> Diagram:
     )
 
 
-_E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
+_IN_SLOT = {("O", "+"): 0, ("O", "-"): 0, ("U", "+"): 1, ("U", "-"): 3}
 
 
-def _insert(d: Diagram, outs, runs, over, free_delta: int = 0) -> Diagram:
-    """Append ``len(outs)`` crossings to ``d`` and thread strands through them.
-
-    New crossing ``c`` owns darts ``d.n_darts + 4c + angle`` for the
-    compass angles ``_E, _N, _W, _S``, counterclockwise.
-    ``outs[c]`` gives the angles of the out darts of its passes 0 and 1;
-    each pass enters on the dart opposite its out dart (``out ^ 2``), and
-    ``over[c]`` names the pass on top.  Each run ``(src, passes, dst)``
-    threads one strand from out dart ``src`` of ``d`` through the
-    ``(crossing, pass)`` list into in dart ``dst`` of ``d``; a run with
-    ``None`` ends closes on itself.  Every new pass lies on one run.
-    """
-    base = d.n_darts
-    k = len(outs)
-    edge = list(d.edge_pair) + [0] * (4 * k)
-    inbound = list(d.inbound) + [False] * (4 * k)
-    for src, passes, dst in runs:
-        if src is None:  # closed: the last pass feeds the first
-            c, p = passes[-1]
-            src = base + 4 * c + outs[c][p]
-        for c, p in passes:
-            out = base + 4 * c + outs[c][p]
-            edge[src] = out ^ 2
-            edge[out ^ 2] = src
-            inbound[out ^ 2] = True
-            src = out
-        if dst is not None:
-            edge[src] = dst
-            edge[dst] = src
-    over_pair = []
-    for c, p in enumerate(over):
-        x = base + 4 * c + (outs[c][p] & 1)
-        over_pair.append((x, x + 2))
-    return Diagram(
-        rotations=d.rotations + tuple(tuple(range(x, x + 4)) for x in range(base, base + 4 * k, 4)),
-        edge_pair=tuple(edge),
-        over_pair=d.over_pair + tuple(over_pair),
-        inbound=tuple(inbound),
-        free_loops=d.free_loops + free_delta,
-    )
+def _from_passes(rows, free_loops: int) -> Diagram:
+    """The diagram of per-circuit ``(vertex, role, sign)`` rows that
+    :func:`_check_passes` accepts.  Vertex ``v`` owns darts ``4v .. 4v+3``
+    counterclockwise, with the over-in dart at slot 0 and the under-in
+    dart at slot 1 (sign +) or slot 3 (sign -)."""
+    n = 2 * sum(map(len, rows))
+    edge = [0] * n
+    inbound = [False] * n
+    for row in rows:
+        v, role, sgn = row[-1]
+        src = (4 * v + _IN_SLOT[role, sgn]) ^ 2
+        for v, role, sgn in row:
+            x = 4 * v + _IN_SLOT[role, sgn]
+            edge[src] = x
+            edge[x] = src
+            inbound[x] = True
+            src = x ^ 2
+    return Diagram(tuple((x, x + 1, x + 2, x + 3) for x in range(0, n, 4)), tuple(edge),
+                   tuple((x, x + 2) for x in range(0, n, 4)), tuple(inbound), free_loops)
 
 
-def _from_code(components, positive, free_loops: int) -> Diagram:
-    """The diagram of a signed Gauss code whose crossings are numbered
-    ``0 ..`` by first appearance: ``positive[v]`` gives vertex ``v``'s sign
-    and each component is the closed list of its ``(vertex, under)``
-    passes.  Vertex ``v`` owns darts ``4v .. 4v+3`` counterclockwise, with
-    the over-in dart at slot 0 and the under-in dart at slot 1 (sign +) or
-    slot 3 (sign -)."""
-    outs = [(_W, _S) if plus else (_W, _N) for plus in positive]
-    runs = [(None, passes, None) for passes in components]
-    return _insert(EMPTY, outs, runs, [0] * len(outs), free_loops)
+def _check_passes(rows) -> int:
+    """The crossing count of per-circuit ``(vertex, role, sign)`` rows;
+    raises :class:`DiagramError` unless no row is empty and vertices
+    ``0 .. n-1`` each occur once as O and once as U, with one sign."""
+    flat = sorted(p for row in rows for p in row)
+    n = len(flat) // 2
+    if not (all(rows) and 2 * n == len(flat) and all(
+            o == (v, "O", o[2]) and u == (v, "U", o[2]) and o[2] in ("+", "-")
+            for v, o, u in zip(range(n), flat[::2], flat[1::2]))):
+        raise DiagramError(f"invalid signed Gauss code: {rows!r}")
+    return n
 
 
 @lru_cache(maxsize=2**17)
@@ -407,20 +399,26 @@ def canonical_string(d: Diagram) -> str:
     result, which ``tests/oracles.naive_canonical_string`` recomputes by
     listing every choice.  One pass of :func:`_scan` over ``d``'s fields
     both validates it, raising :class:`DiagramError` as
-    :func:`require_valid` does, and reads the passes the search
+    :func:`require_valid` does, and reads the passes :func:`_label`
     serializes; none of ``d``'s cached properties is computed, so the
-    cached move results hold no tables.  The cache holds up to 2**17
+    cached diagrams hold no tables.  The cache holds up to 2**17
     diagrams.
     """
     errs, tables = _scan(d)
     if errs:
         raise DiagramError("invalid diagram: " + "; ".join(errs))
-    loops = " / ".join("*" * d.free_loops)
+    return _label(tables, d.n_vertices, d.free_loops)
+
+
+def _label(tables, n_vertices: int, free_loops: int) -> str:
+    """:func:`canonical_string` of the code with per-circuit ``(vertex,
+    role, sign)`` rows ``tables`` on vertices ``0 .. n_vertices-1``."""
+    loops = " / ".join("*" * free_loops)
     if not tables:
         return loops
-    labels = [str(i) for i in range(1, d.n_vertices + 1)]
-    name_of: list[str | None] = [None] * d.n_vertices
-    named_order = [0] * d.n_vertices
+    labels = [str(i) for i in range(1, n_vertices + 1)]
+    name_of: list[str | None] = [None] * n_vertices
+    named_order = [0] * n_vertices
     parts: list[str] = []
     best = None
 

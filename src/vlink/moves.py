@@ -19,13 +19,18 @@ Pattern dictionary (faces are orbits of sigma o alpha, see vlink.surface):
   also covers attaching free loops, crossing an edge over its own other
   side through a handle, and folding a free loop through a handle.
 
-Every new crossing is appended by :func:`vlink.diagram._insert`.  In
-the local picture (face walk on the right) crossing ``c`` owns darts
-``n_darts + 4c + angle`` at the compass angles east, north, west, south,
-counterclockwise.  A builder names the angles of its two passes' out
-darts and which pass is over; each pass enters on the dart opposite its
-out dart.  Strands are threaded as runs from an existing out dart to an
-existing in dart, or as closed runs for free loops.
+A move edits the signed Gauss code, :attr:`Diagram.passes` (Polyak,
+*Minimal generating sets of Reidemeister moves*, 2010): R1- and R2- drop
+the removed crossings' passes, R3 swaps the two passes of each triangle
+side, and the other moves splice new crossings' passes into circuits or
+add circuits.  The search labels :func:`_edit`'s code directly;
+:func:`apply_move` builds it with :func:`vlink.diagram._from_passes`.
+The angles only fix the signs of new crossings: in the local picture
+(face walk on the right) a builder names the compass angles (east,
+north, west, south, counterclockwise) of each new crossing's two out
+darts and which pass is over, each pass enters opposite its out dart,
+and the crossing is positive when the under pass enters a quarter turn
+counterclockwise after the over pass.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import _E, _N, _S, _W, Diagram, DiagramError, _insert, relabel, require_valid
+from .diagram import Diagram, DiagramError, _check_passes, _from_passes, require_valid
 from .surface import trace_faces
 
 PLAIN_KINDS = frozenset({"R1+", "R1-", "R2+", "R2-", "R3"})
@@ -202,120 +207,105 @@ def _unrepeated(d: Diagram, sites: list[MoveSite]):
 
 
 # ---------------------------------------------------------------------------
-# surgery helpers
+# Gauss code edits
 # ---------------------------------------------------------------------------
 
 
-def _excise(d: Diagram, removed: frozenset[int]) -> Diagram:
-    """Delete the given vertices, running every strand straight through
-    them; circuits living entirely on removed vertices become free loops."""
-    extra = sum(1 for row in d.passes if all(v in removed for v, _, _ in row))
-    kept = [v for v in range(d.n_vertices) if v not in removed]
-    edge = list(d.edge_pair)
-    for v in kept:
-        for x in d.rotations[v]:
-            if d.inbound[x]:
-                continue
-            z = d.edge_pair[x]
-            while d.vertex_of[z] in removed:
-                z = d.edge_pair[d.opposite[z]]
-            edge[x] = z
-            edge[z] = x
-    rerouted = Diagram(d.rotations, tuple(edge), d.over_pair, d.inbound, d.free_loops + extra)
-    return relabel(rerouted, kept)
+_E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
 
 
-def _endpoints(d: Diagram, dart: int) -> tuple[int, int]:
-    """(src, dst) of the edge through ``dart``: outbound end, inbound end."""
-    other = d.edge_pair[dart]
-    return (other, dart) if d.inbound[dart] else (dart, other)
+def _excise(d: Diagram, removed: set[int]):
+    """Drop the passes of the given vertices and renumber the rest in
+    order; circuits left with no pass become free loops."""
+    label = [v - sum(r < v for r in removed) for v in range(d.n_vertices)]
+    rows = [[(label[v], role, sgn) for v, role, sgn in row if v not in removed]
+            for row in d.passes]
+    kept = [row for row in rows if row]
+    return kept, d.free_loops + len(rows) - len(kept)
 
 
-def _apply_r1_plus(d: Diagram, site: MoveSite) -> Diagram:
+def _splice(d: Diagram, outs, runs, over):
+    """Add crossings ``d.n_vertices + c``: ``outs[c]`` gives the angles
+    of the out darts of passes 0 and 1, ``over[c]`` the pass on top.
+    Each run ``(x, passes)`` threads a ``(crossing, pass)`` list along the
+    edge through dart ``x``, before the pass that edge enters, or when
+    ``x`` is None as a new circuit, which takes the place of a free loop."""
+    n = d.n_vertices
+    new = []
+    for c, (out, p) in enumerate(zip(outs, over)):
+        sgn = "+" if (out[1 - p] - out[p]) % 4 == 1 else "-"
+        new.append([(n + c, "O" if q == p else "U", sgn) for q in (0, 1)])
+    rows, free_loops = list(d.passes), d.free_loops
+    inserts = {}
+    for x, passes in runs:
+        seq = [new[c][p] for c, p in passes]
+        if x is None:
+            rows.append(seq)
+            free_loops -= 1
+        else:
+            inserts[d._slots[x]] = seq
+    for ci, i in sorted(inserts, reverse=True):
+        rows[ci] = [*rows[ci][:i], *inserts[ci, i], *rows[ci][i:]]
+    return rows, free_loops
+
+
+def _apply_r1_plus(d: Diagram, site: MoveSite):
     """A curl: the strand enters from the east and re-enters from the north
     (``l``) or the south (``r``); ``o`` puts the first pass on top."""
     outs = [(_W, _S if site.variant[0] == "l" else _N)]
     over = [0 if site.variant[1] == "o" else 1]
-    if site.where[0] == "loop":
-        return _insert(d, outs, [(None, [(0, 0), (0, 1)], None)], over, free_delta=-1)
-    src, dst = _endpoints(d, site.where[0])
-    return _insert(d, outs, [(src, [(0, 0), (0, 1)], dst)], over)
+    x = None if site.where[0] == "loop" else site.where[0]
+    return _splice(d, outs, [(x, [(0, 0), (0, 1)])], over)
 
 
-def _apply_r2_fold(d: Diagram, x: int, finger_over: bool) -> Diagram:
+def _apply_r2_fold(d: Diagram, x: int, finger_over: bool):
     """Push the side x forward over/under its own edge (nested fold)."""
-    src, dst = _endpoints(d, x)
     line = _S if d.inbound[x] else _N  # north when the strand runs with the face walk
     outs = [(_W, line), (_E, line)]
-    run = (src, [(0, 0), (1, 0), (1, 1), (0, 1)], dst)
-    return _insert(d, outs, [run], [0 if finger_over else 1] * 2)
+    run = (x, [(0, 0), (1, 0), (1, 1), (0, 1)])
+    return _splice(d, outs, [run], [0 if finger_over else 1] * 2)
 
 
-def _apply_r2_push(d: Diagram, pushed: int, crossed: int, pushed_over: bool) -> Diagram:
+def _apply_r2_push(d: Diagram, pushed: int, crossed: int, pushed_over: bool):
     """Push the side ``pushed`` across to cross the side ``crossed`` twice."""
     ax = not d.inbound[pushed]
     ay = not d.inbound[crossed]
     c = _S if ay else _N    # crossed direction at both crossings
     outs = [(_E, c), (_W, c)] if ax else [(_W, c), (_E, c)]
-    src_p, dst_p = _endpoints(d, pushed)
-    src_c, dst_c = _endpoints(d, crossed)
     runs = [
-        (src_p, [(0, 0), (1, 0)] if ax else [(1, 0), (0, 0)], dst_p),
-        (src_c, [(1, 1), (0, 1)] if ay else [(0, 1), (1, 1)], dst_c),
+        (pushed, [(0, 0), (1, 0)] if ax else [(1, 0), (0, 0)]),
+        (crossed, [(1, 1), (0, 1)] if ay else [(0, 1), (1, 1)]),
     ]
-    return _insert(d, outs, runs, [0 if pushed_over else 1] * 2)
+    return _splice(d, outs, runs, [0 if pushed_over else 1] * 2)
 
 
-def _apply_r2_loop(d: Diagram, crossed: int | None, variant: str) -> Diagram:
+def _apply_r2_loop(d: Diagram, crossed: int | None, variant: str):
     """Attach a free loop across the edge through ``crossed``, or across a
     second free loop when ``crossed`` is None; the attached loop is pass 0."""
     outs = [(_E, _N), (_W, _N)] if variant[0] == "a" else [(_W, _N), (_E, _N)]
-    src, dst = (None, None) if crossed is None else _endpoints(d, crossed)
-    runs = [(src, [(0, 1), (1, 1)], dst), (None, [(0, 0), (1, 0)], None)]
-    return _insert(d, outs, runs, [0 if variant.endswith("over") else 1] * 2,
-                   free_delta=-2 if crossed is None else -1)
+    runs = [(crossed, [(0, 1), (1, 1)]), (None, [(0, 0), (1, 0)])]
+    return _splice(d, outs, runs, [0 if variant.endswith("over") else 1] * 2)
 
 
-def _apply_r2_interleave(d: Diagram, pushed: int | None, finger_over: bool) -> Diagram:
+def _apply_r2_interleave(d: Diagram, pushed: int | None, finger_over: bool):
     """Push side ``pushed`` through a handle across its own edge's other
     side, or fold a free loop over itself when ``pushed`` is None; the
     four passes interleave (finger, finger, line, line)."""
     line = _S if pushed is not None and d.inbound[pushed] else _N
     outs = [(_E, line), (_W, line)]
-    src, dst = (None, None) if pushed is None else _endpoints(d, pushed)
-    run = (src, [(0, 0), (1, 0), (0, 1), (1, 1)], dst)
-    return _insert(d, outs, [run], [0 if finger_over else 1] * 2,
-                   free_delta=-1 if pushed is None else 0)
+    run = (pushed, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    return _splice(d, outs, [run], [0 if finger_over else 1] * 2)
 
 
-def _apply_r3(d: Diagram, face: tuple[int, int, int]) -> Diagram:
-    """Swap the order of the two triangle crossings along each strand."""
-    segs = []
-    for p in face:
-        a, b = p, d.edge_pair[p]
-        if d.inbound[a]:
-            a, b = b, a  # a is now the outbound side dart
-        segs.append({
-            "f_out": a, "f_in": d.opposite[a],
-            "l_in": b, "l_out": d.opposite[b],
-        })
-    redirect = {s["f_in"]: s["l_in"] for s in segs}
-    updates: dict[int, int] = {}
-    for s in segs:
-        updates[s["l_out"]] = s["f_in"]
-    for s in segs:
-        tgt = d.edge_pair[s["l_out"]]
-        updates[s["f_out"]] = redirect.get(tgt, tgt)
-    handled = {s["l_out"] for s in segs} | {s["f_out"] for s in segs}
-    for s in segs:
-        o = d.edge_pair[s["f_in"]]
-        if o not in handled:
-            updates[o] = s["l_in"]
-    edge = list(d.edge_pair)
-    for a, b in updates.items():
-        edge[a] = b
-        edge[b] = a
-    return Diagram(d.rotations, tuple(edge), d.over_pair, d.inbound, d.free_loops)
+def _apply_r3(d: Diagram, face: tuple[int, int, int]):
+    """Swap the order of the two triangle crossings along each strand:
+    each side's two passes are adjacent in its circuit."""
+    rows = [list(row) for row in d.passes]
+    for x in face:
+        ci, i = d._slots[x]
+        row = rows[ci]
+        row[i - 1], row[i] = row[i], row[i - 1]
+    return rows, d.free_loops
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +313,13 @@ def _apply_r3(d: Diagram, face: tuple[int, int, int]) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
+def _edit(d: Diagram, site: MoveSite):
+    """``site``'s result as per-circuit ``(vertex, role, sign)`` rows on
+    vertices ``0 ..`` and a free-loop count, unchecked."""
     if site.kind == "R1-":
-        return _excise(d, frozenset(site.where))
+        return _excise(d, set(site.where))
     if site.kind == "R2-":
-        d1, d2 = site.where
-        return _excise(d, frozenset({d.vertex_of[d1], d.vertex_of[d2]}))
+        return _excise(d, {d.vertex_of[x] for x in site.where})
     if site.kind == "R3":
         return _apply_r3(d, site.where)
     if site.kind == "R1+":
@@ -349,6 +340,12 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
     raise MoveError(f"unknown move kind {site.kind!r}")
 
 
+def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
+    rows, free_loops = _edit(d, site)
+    _check_passes(rows)
+    return _from_passes(rows, free_loops)
+
+
 def _site_applies(d: Diagram, site: MoveSite) -> bool:
     """True when ``site`` is one that :func:`enumerate_moves` lists for ``d``.
 
@@ -362,7 +359,8 @@ def _site_applies(d: Diagram, site: MoveSite) -> bool:
 
 
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
-    """Apply an enumerated site; rejects stale sites, returns a valid diagram."""
+    """Apply an enumerated site; rejects stale sites, returns a valid
+    diagram laid out as :func:`vlink.codec.to_diagram` lays out a code."""
     require_valid(d)
     if not _site_applies(d, site):
         raise MoveError(f"site {site} is not applicable")

@@ -13,8 +13,10 @@ search shares; the listing holds the state's minimize rank and its
 successors, both read from that one representative.  A listing skips
 the sites ``moves._unrepeated`` knows to repeat an earlier site's state,
 and keeps the first site reaching each state, so skipping changes no
-result.  Replay does not use the memo: it re-derives each step from a
-freshly built representative.
+result.  Successors are labelled from ``moves._edit``'s Gauss code,
+checked by ``diagram._check_passes``, without building a ``Diagram``.
+Replay does not use the memo: it re-derives each step from a freshly
+built representative, and builds, validates and labels each result.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -29,9 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .codec import _from_canonical
-from .diagram import Diagram, canonical_string, require_valid, stats
+from .diagram import Diagram, _check_passes, _label, canonical_string, require_valid, stats
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
-from .moves import MoveSite, _apply_unchecked, _site_applies, _unrepeated, enumerate_moves
+from .moves import MoveSite, _apply_unchecked, _edit, _site_applies, _unrepeated, enumerate_moves
 from .surface import genus
 
 DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
@@ -95,7 +97,7 @@ _GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 
 def _expand(rep: Diagram, max_crossings: int):
-    """Deterministic (site, result, canonical result) successors within the
+    """Deterministic (site, canonical result) successors within the
     crossing cap.  The negative curl on a free loop, which
     ``enumerate_moves`` lists only beside R2+stab, is offered whenever R1+
     fits, so every kink removal stays invertible at the cap.
@@ -104,7 +106,8 @@ def _expand(rep: Diagram, max_crossings: int):
     state (mirrored R2 pushes, free-loop indices other than 0, a second
     R2- bigon on one vertex pair) are not applied.  The first site giving
     each state is always kept, so searches reach the same states through
-    the same first sites, and record the same parents and paths."""
+    the same first sites, and record the same parents and paths.  Each
+    result is labelled from its checked Gauss code, with no ``Diagram``."""
     room = max_crossings - rep.n_vertices
     kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
     sites = enumerate_moves(rep, kinds)
@@ -112,15 +115,15 @@ def _expand(rep: Diagram, max_crossings: int):
         sites += [MoveSite("R1+", ("loop", i), "ro") for i in range(rep.free_loops)]
         sites.sort(key=MoveSite.sort_key)
     for site in _unrepeated(rep, sites):
-        result = _apply_unchecked(rep, site)
-        yield site, result, canonical_string(result)
+        rows, free_loops = _edit(rep, site)
+        yield site, _label(rows, _check_passes(rows), free_loops)
 
 
 class _Listing:
     """One state's minimize rank, and ``_expand``'s (site, canonical
     result) pairs computed only as far as some search has read them: a
     search whose budget runs out part-way through a state's successors
-    builds no more of them than it reads.  The representative is built
+    labels no more of them than it reads.  The representative is built
     once; the rank is read from it, the sites' labels refer to it, and it
     is released when its successors are exhausted."""
 
@@ -147,7 +150,7 @@ class _Listing:
                     raise
                 if step is None:
                     return
-                read.append((step[0], step[2]))
+                read.append(step)
             yield read[i]
             i += 1
 

@@ -6,8 +6,8 @@ oriented surface the projection lives on.  Faces are the orbits of the
 permutation sigma o alpha on darts, so every face is a disk and the
 surface is the minimal one for the given diagram.  Each free loop lives
 on its own sphere (two disk faces, no darts).  The faces are traced once
-per diagram object and kept on it (``Diagram.faces``), beside its strand
-circuits and graph components.
+per diagram object and kept on it (``Diagram.faces``), beside its graph
+components.
 """
 
 from __future__ import annotations

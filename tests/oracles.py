@@ -11,9 +11,12 @@ the production algorithms, except that the search oracles apply the
 production moves: ``full_listing`` applies every site
 ``vlink.moves.enumerate_moves`` lists within the crossing cap, plus the
 negative free-loop curls where only R1+ fits, and skips none of them.
-So they pin the breadth-first loop, the budget, the ranking and the
-search's skipping of repeated sites, not the moves.  Their
-representatives come from the text parser,
+It shares ``vlink.moves._edit`` with the search, but builds each result
+with ``vlink.diagram._from_passes`` (through ``_apply_unchecked``) and
+labels it with ``canonical_string``, where the search labels the edited
+code directly.  So they pin the breadth-first loop, the budget, the
+ranking, the search's skipping of repeated sites and its labelling, not
+the moves.  Their representatives come from the text parser,
 ``to_diagram(parse_gauss(cs))``, not from the search's own builder
 ``vlink.codec._from_canonical``.
 """

@@ -16,7 +16,7 @@ from vlink.codec import (
     parse_gauss,
     to_diagram,
 )
-from vlink.diagram import EMPTY, UNKNOT, canonical_string, validate
+from vlink.diagram import EMPTY, UNKNOT, Diagram, DiagramError, canonical_string, validate
 
 from helpers import random_code_text
 
@@ -208,6 +208,23 @@ def test_json_fields_are_integers():
                            ({**under, "under_out": under["under_in"]}, "not the dart opposite")):
         with pytest.raises(GaussCodeError, match=message):
             diagram_from_json({**obj, "over_under": [entry]})
+    # each entry describes its own vertex: swapping the under darts of two
+    # entries keeps every in dart and over pair, but ties them to the wrong vertex
+    obj = diagram_to_json(to_diagram(parse_gauss(VIRTUAL_TREFOIL)))
+    a, b = obj["over_under"]
+    swapped = [{**a, "under_in": b["under_in"], "under_out": b["under_out"]},
+               {**b, "under_in": a["under_in"], "under_out": a["under_out"]}]
+    with pytest.raises(GaussCodeError, match="not a dart of vertex 0"):
+        diagram_from_json({**obj, "over_under": swapped})
+
+
+def test_json_writer_rejects_invalid_diagrams():
+    # a rotation of three darts: the writer reads the map only once it is valid
+    d = Diagram(((0, 1, 2), (3, 4, 5, 6, 7)), (1, 0, 3, 2, 5, 4, 7, 6),
+                ((0, 2), (3, 5)), (True, False) * 4, 0)
+    for write in (diagram_to_json, dumps):
+        with pytest.raises(DiagramError, match="rotation of vertex 0 has 3 darts"):
+            write(d)
 
 
 def test_json_accepts_arbitrary_dart_labels():

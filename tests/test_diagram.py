@@ -12,6 +12,8 @@ from vlink.diagram import (
     UNKNOT,
     Diagram,
     DiagramError,
+    _check_passes,
+    _from_passes,
     canonical_string,
     disjoint_union,
     mirror,
@@ -188,6 +190,25 @@ def test_canonical_matches_oracle_on_orbit_states():
         checked += _assert_matches_oracle(
             states + [_relabelled(d, rng) for d in states] + results)
     assert checked > 500
+
+
+@pytest.mark.parametrize("rows", [
+    [[(0, "O", "+"), (0, "O", "+")]],                  # vertex 0 twice as O
+    [[(0, "O", "+"), (0, "U", "-")]],                  # one sign at O, the other at U
+    [[(0, "O", "+"), (0, "U", "+"), (1, "O", "-")]],   # vertex 1 occurs once
+    [[(0, "O", "+"), (0, "U", "+"), (2, "O", "-"), (2, "U", "-")]],  # no vertex 1
+    [[(0, "O", "+"), (0, "U", "+")], []],              # an empty circuit
+    [[(0, "O", "?"), (0, "U", "?")]],                  # not a sign
+])
+def test_check_passes_rejects_broken_codes(rows):
+    with pytest.raises(DiagramError, match="invalid signed Gauss code"):
+        _check_passes(rows)
+
+
+def test_check_passes_counts_the_crossings_of_every_valid_code():
+    for d in [EMPTY, UNKNOT, KINK, VT] + random_diagrams(17, 40, max_v=5, max_loops=2):
+        assert _check_passes(d.passes) == d.n_vertices
+        assert _from_passes(d.passes, d.free_loops) == d  # to_diagram's layout
 
 
 def test_canonical_cache_is_bounded():

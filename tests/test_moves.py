@@ -177,20 +177,21 @@ def test_unknown_kind_rejected():
 
 
 def test_move_results_match_golden_digest():
-    # pins every move result, dart for dart: results must stay equal
-    # Diagram values, not merely isomorphic ones, so that sites, search
-    # order and witnesses cannot move; the inputs come from to_diagram,
-    # so this also pins its dart numbering
+    # pins every move result up to isomorphism, by its canonical string:
+    # search order follows the sites of each state's representative, not
+    # the labels of its results.  The inputs come from to_diagram, so the
+    # hashed sites still pin its dart numbering.  The digest was taken
+    # from an independent implementation of the moves, by map surgery
     corpus = (all_connected_diagrams(3)[::3]
               + random_diagrams(7, 40, max_v=4, max_comps=3, max_loops=2))
     h = hashlib.sha256()
     n_sites = 0
     for d in corpus:
         for site in enumerate_moves(d, ALL_KINDS):
-            h.update(repr((site, _apply_unchecked(d, site))).encode())
+            h.update(repr((site, canonical_string(_apply_unchecked(d, site)))).encode())
             n_sites += 1
     assert (len(corpus), n_sites) == (324, 94048)
-    assert h.hexdigest() == "3e0b594efc7b5b4c45b0613dced48c60fccdedc01e5ed11685205959294dcc03"
+    assert h.hexdigest() == "2f10b5560b9237c293dc37ab228abe6a0973294ec3161f5bcbcd0ed197d90765"
 
 
 def _is_push(d: Diagram, site: MoveSite) -> bool:

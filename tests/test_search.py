@@ -4,7 +4,7 @@ import random
 import pytest
 
 from vlink.codec import GaussCodeError, _from_canonical, parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, canonical_string, stats
+from vlink.diagram import UNKNOT, DiagramError, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
 from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked, _site_applies
@@ -174,7 +174,7 @@ def _first_occurrences(pairs) -> list:
 def _check_listing(rep, cap, full) -> int:
     """``_expand`` lists a subsequence of ``full`` with the same first
     occurrence of every state; returns how many pairs it skipped."""
-    got = [(site, cs) for site, _, cs in _expand(rep, cap)]
+    got = list(_expand(rep, cap))
     rest = iter(full)
     assert all(pair in rest for pair in got)
     assert _first_occurrences(got) == _first_occurrences(full)
@@ -225,7 +225,7 @@ def _clear_memos():
 
 def _pairs(cs: str, cap: int) -> list:
     """The (site, canonical result) successors of ``cs``, without the memo."""
-    return [(site, cs2) for site, _, cs2 in _expand(_from_canonical(cs), cap)]
+    return list(_expand(_from_canonical(cs), cap))
 
 
 def test_results_do_not_depend_on_memo_state():
@@ -277,8 +277,8 @@ def test_successors_are_computed_as_far_as_read(monkeypatch):
     cs = canonical_string(DOUBLED)
     fresh = _pairs(cs, 4)
     applied = []
-    real = vlink.search._apply_unchecked
-    monkeypatch.setattr(vlink.search, "_apply_unchecked",
+    real = vlink.search._edit
+    monkeypatch.setattr(vlink.search, "_edit",
                         lambda d, site: applied.append(site) or real(d, site))
     _clear_memos()
     listing = _successors(cs, 4)
@@ -301,7 +301,7 @@ def test_successors_are_computed_as_far_as_read(monkeypatch):
 def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
     cs = canonical_string(DOUBLED)
     fresh = _pairs(cs, 4)
-    real = vlink.search._apply_unchecked
+    real = vlink.search._edit
     applied = []
 
     def interrupt_third(d, site):
@@ -310,7 +310,7 @@ def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
             raise KeyboardInterrupt
         return real(d, site)
 
-    monkeypatch.setattr(vlink.search, "_apply_unchecked", interrupt_third)
+    monkeypatch.setattr(vlink.search, "_edit", interrupt_third)
     _clear_memos()
     with pytest.raises(KeyboardInterrupt):
         list(_successors(cs, 4))
@@ -344,6 +344,22 @@ def test_unreplayable_path_raises(monkeypatch):
     monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
     with pytest.raises(SearchError, match="failed to replay"):
         equivalent(KINK, UNKNOT, SearchBounds(max_crossings=3, max_states=4000))
+
+
+def test_broken_edit_raises_before_it_is_labelled(monkeypatch):
+    # every edited code is checked: here crossing 0 occurs twice as O
+    def broken(d, site):
+        rows, free_loops = real(d, site)
+        return [[(v, "O", sgn) for v, _, sgn in row] for row in rows], free_loops
+
+    real = vlink.search._edit
+    monkeypatch.setattr(vlink.search, "_edit", broken)
+    _clear_memos()
+    try:
+        with pytest.raises(DiagramError, match="invalid signed Gauss code"):
+            orbit(KINK, SearchBounds(max_crossings=3, max_states=100))
+    finally:
+        _clear_memos()
 
 
 def test_backward_step_without_inverse_raises(monkeypatch):

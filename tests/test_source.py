@@ -54,3 +54,16 @@ def test_every_cache_has_a_size_bound():
                     found.append(f"{where}: lru_cache maxsize {value!r}")
                 checked += 1
     assert checked and found == []
+
+
+def test_moves_and_search_build_diagrams_only_from_gauss_codes():
+    # move results and search states come from diagram._from_passes (through
+    # moves._apply_unchecked and codec._from_canonical), never from fields
+    # assembled by hand
+    found = []
+    for name in ("moves.py", "search.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name)):
+            if isinstance(node, ast.Call) and "Diagram" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
