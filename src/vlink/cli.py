@@ -16,7 +16,13 @@ from pathlib import Path
 
 from .codec import emit_gauss, from_diagram, parse_gauss, to_diagram
 from .diagram import Diagram
-from .invariants import Quandle, StateSumLimitError, dihedral_quandle, load_quandle
+from .invariants import (
+    MAX_QUANDLE_ORDER,
+    Quandle,
+    StateSumLimitError,
+    dihedral_quandle,
+    load_quandle,
+)
 from .search import (
     DEFAULT_QUANDLES,
     SearchBounds,
@@ -51,7 +57,8 @@ def _read_corpus(path: str) -> list[Diagram]:
 def _parse_quandles(arg: str) -> tuple[tuple[str, Quandle], ...]:
     """Comma list of named dihedral quandles (R3, R5, ...) or table files.
 
-    A name is ``R`` and ASCII digits; any other entry is a file path."""
+    A name is ``R`` and ASCII digits, of order at most ``MAX_QUANDLE_ORDER``;
+    any other entry is a file path."""
     if not arg:
         return DEFAULT_QUANDLES
     out = []
@@ -59,9 +66,10 @@ def _parse_quandles(arg: str) -> tuple[tuple[str, Quandle], ...]:
         name = name.strip()
         size = name[1:]
         if name[:1] == "R" and size.isascii() and size.isdigit():
-            if int(size) < 1:
-                raise ValueError(f"quandle {name} has no elements")
-            out.append((name, dihedral_quandle(int(size))))
+            order = int(size)
+            if not 1 <= order <= MAX_QUANDLE_ORDER:
+                raise ValueError(f"quandle {name} has an order outside 1..{MAX_QUANDLE_ORDER}")
+            out.append((name, dihedral_quandle(order)))
         else:
             out.append((name, load_quandle(Path(name).read_text())))
     return tuple(out)

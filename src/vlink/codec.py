@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from .diagram import Diagram, _from_passes, require_valid
 
 
+# free loops a text code or JSON diagram may carry: JSON gives the count as
+# one number, and each "*" of a text costs the bracket one power of delta
+MAX_FREE_LOOPS = 1024
+
+
 class GaussCodeError(ValueError):
     """Malformed or invalid Gauss code text.  ``position`` indexes the offending character."""
 
@@ -61,7 +66,8 @@ def _validate_code(components, free_loops, pos_of=None) -> None:
 
 
 def parse_gauss(text: str) -> SignedGaussCode:
-    """Parse Gauss code text; raises :class:`GaussCodeError` with a position on bad input."""
+    """Parse Gauss code text; raises :class:`GaussCodeError` with a position
+    on bad input, including more than ``MAX_FREE_LOOPS`` "*" components."""
     if text.strip() == "":
         return SignedGaussCode(components=())
     components: list[tuple[Token, ...]] = []
@@ -77,6 +83,8 @@ def parse_gauss(text: str) -> SignedGaussCode:
             if current:
                 raise GaussCodeError("'*' must be a component on its own", at)
             free_loops += 1
+            if free_loops > MAX_FREE_LOOPS:
+                raise GaussCodeError(f"more than {MAX_FREE_LOOPS} free loops", at)
         elif current:
             components.append(tuple(current))
         else:
@@ -224,11 +232,6 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
-# free loops a JSON diagram may carry: the field is one number, so a short
-# input could otherwise ask for loops that no canonical string fits in
-MAX_JSON_FREE_LOOPS = 1024
-
-
 def _json_int(value) -> int:
     """``value`` if it is a JSON integer (``true`` and ``1.0`` are not)."""
     if type(value) is not int:
@@ -239,7 +242,7 @@ def _json_int(value) -> int:
 def diagram_from_json(obj: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the reconstructed map.
     Every field holds JSON integers, ``free_loops`` is at most
-    ``MAX_JSON_FREE_LOOPS``, entry ``v`` of ``over_under`` names darts of
+    ``MAX_FREE_LOOPS``, entry ``v`` of ``over_under`` names darts of
     ``vertex_rotations[v]``, and each ``under_out`` is the dart opposite
     its ``under_in``."""
     try:
@@ -250,9 +253,9 @@ def diagram_from_json(obj: dict) -> Diagram:
         free_loops = _json_int(obj["free_loops"])
     except (KeyError, TypeError) as exc:
         raise GaussCodeError(f"malformed diagram JSON: {exc}") from None
-    if free_loops > MAX_JSON_FREE_LOOPS:
+    if free_loops > MAX_FREE_LOOPS:
         raise GaussCodeError(
-            f"{free_loops} free loops, above the limit of {MAX_JSON_FREE_LOOPS}")
+            f"{free_loops} free loops, above the limit of {MAX_FREE_LOOPS}")
     if not isinstance(over_under, list):
         raise GaussCodeError("over_under must be a list")
     if any(len(rot) != 4 for rot in rotations):

@@ -12,8 +12,11 @@ after Burton's fixed-parameter HOMFLY-PT algorithm and Regina's
 treewidth Jones polynomial: vertices are added one at a time, and the
 partial circles crossing the frontier are tracked as a pairing of the
 open darts, so the cost grows with the frontier width rather than with
-2^V.  ``tests/oracles.naive_bracket`` is the 2^V enumeration it is
-checked against.
+2^V.  Adding a vertex walks only the paths through it, and each
+pairing's tally of (A-smoothings, closed circles) is one integer whose
+digits are wide enough that no count carries, so a smoothing adds a
+shifted copy of it.  ``tests/oracles.naive_bracket`` is the 2^V
+enumeration it is checked against.
 
 Quandle colorings are counted by backtracking over arc colors with
 watch lists: setting an arc revisits only the crossings that name it,
@@ -156,6 +159,18 @@ def _vertex_order(d: Diagram) -> list[int]:
     return order
 
 
+def _delta_power(k: int) -> LaurentPoly:
+    """DELTA ** k by the binomial theorem, (-1)^k sum_j C(k, j) A^(2k-4j):
+    k+1 terms in one pass, for the many free loops that repeated squaring
+    of dense polynomials is slow on."""
+    terms = []
+    c = -1 if k % 2 else 1  # (-1)^k C(k, j), from j = 0 up
+    for j in range(k + 1):
+        terms.append((4 * j - 2 * k, c))
+        c = c * (k - j) // (j + 1)
+    return LaurentPoly(tuple(terms))
+
+
 def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPoly:
     """Kauffman bracket, normalized so the unknot gives 1.
 
@@ -163,76 +178,126 @@ def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPo
     the open frontier darts are those of placed vertices whose edge
     partner is not yet placed.  Each DP state is a pairing of the
     frontier darts (the two ends of one partial state circle), stored as
-    a sorted tuple of pairs, and maps to a tally {(exponent, closed
-    loops): multiplicity}.  Adding a vertex under its A- or B-smoothing
-    walks the paths through the new joins, giving the new pairing and
-    the circles that closed.  The pairings are arbitrary, not only
+    a sorted tuple of pairs.  The pairings are arbitrary, not only
     non-crossing, as virtual diagrams need.  Cost is exponential in the
-    frontier width, not in the crossing count; powers of delta are
-    expanded once at the end.
+    frontier width, not in the crossing count.
+
+    Adding vertex v splits its darts, once per step, into those whose
+    edge reaches the frontier (that frontier dart is removed), self-edges
+    at v, and new open darts.  A pairing keeps every pair with neither
+    end removed and walks only from the kept ends whose mate was removed
+    and from the new open darts, through v's smoothing joins, its
+    self-edges and the removed pairs; the darts of v that no walk meets
+    lie on circles that close at v.
+
+    Each pairing's tally is one integer with a ``V+1``-bit digit per
+    (A-smoothings a, closed circles c), at bit ``(V+1) * (a + (V+1) * c)``.
+    A digit counts smoothing states with a A-smoothings among the placed
+    vertices, at most C(V, a) < 2^(V+1), so no digit carries into the next
+    and a transition is one shift and one add: by ``V+1`` bits for an
+    A-smoothing and ``(V+1)^2`` bits per closed circle.  The digits are
+    read once at the end, where delta^(c + free loops - 1) is expanded.
     """
     require_valid(d)
-    if d.n_vertices > max_crossings:
-        raise StateSumLimitError(
-            f"{d.n_vertices} crossings exceeds the state-sum cap {max_crossings}")
-    if d.n_vertices == 0 and d.free_loops == 0:
+    n = d.n_vertices
+    if n > max_crossings:
+        raise StateSumLimitError(f"{n} crossings exceeds the state-sum cap {max_crossings}")
+    if n == 0 and d.free_loops == 0:
         return LaurentPoly.one()
     edge, vertex_of = d.edge_pair, d.vertex_of
-    placed = [False] * d.n_vertices
-    frontier: set[int] = set()
-    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    digit = n + 1
+    loop_shift = digit * (n + 1)
+    placed = [False] * n
+    # Indexed by dart.  A removed dart is never seen again, so `removed` is
+    # never reset; a self-edge's darts are marked removed and mated to each
+    # other, so that a walk crosses it as it crosses a removed pair.
+    removed = [False] * d.n_darts
+    mate = [0] * d.n_darts  # partner of each removed dart in the pairing at hand
+    seen = [0] * d.n_darts  # last transition whose walks met the dart
+    joins = ([0] * d.n_darts, [0] * d.n_darts)  # A- and B-smoothing partner at v
+    stamp = 0
+    states: dict[tuple, int] = {(): 1}
     for v in _vertex_order(d):
         placed[v] = True
         rot = d.rotations[v]
-        frontier = {x for x in frontier if vertex_of[edge[x]] != v}
-        frontier.update(x for x in rot if not placed[vertex_of[edge[x]]])
-        ends = sorted(frontier)
-        joins = []
-        for kind, shift in (("A", 1), ("B", -1)):
-            (a, b), (c, e) = _smoothing_pairs(d, v, kind)
-            joins.append(({a: b, b: a, c: e, e: c}, shift))
-        nxt: dict[tuple, dict[tuple[int, int], int]] = {}
+        opens = []  # (new open dart, where its walk enters v: itself)
+        for x in rot:
+            y = edge[x]
+            if vertex_of[y] == v:
+                removed[x], mate[x] = True, y
+            elif placed[vertex_of[y]]:
+                removed[y] = True
+            else:
+                opens.append((x, x))
+        for kind, join in zip("AB", joins):
+            for a, b in _smoothing_pairs(d, v, kind):
+                join[a], join[b] = b, a
+        nxt: dict[tuple, int] = {}
         for pairing, tally in states.items():
-            mate = dict(pairing)
-            mate.update((b, a) for a, b in pairing)
-            for join, shift in joins:
-                mate.update(join)  # both smoothings join all four darts of v
-                # walk each open path to its other end, then any closed circle
-                seen = set()
-                pairs = []
-                for s in ends:
-                    if s not in seen:
-                        y = mate[s]
-                        while y not in frontier:
-                            seen.add(y)
-                            y = edge[y]
-                            seen.add(y)
-                            y = mate[y]
-                        seen.add(y)
-                        pairs.append((s, y))
+            kept, starts = [], []  # starts: (kept end, the dart of v its removed mate meets)
+            for pair in pairing:
+                a, b = pair
+                if removed[a]:
+                    mate[a] = b
+                    if removed[b]:
+                        mate[b] = a
+                    else:
+                        starts.append((b, edge[a]))
+                elif removed[b]:
+                    mate[b] = a
+                    starts.append((a, edge[b]))
+                else:
+                    kept.append(pair)
+            starts += opens
+            for join, shift in zip(joins, (digit, 0)):
+                stamp += 1
+                pairs = kept[:]
+                for s, p in starts:
+                    if seen[s] == stamp:
+                        continue
+                    while True:
+                        seen[p] = stamp
+                        q = join[p]
+                        seen[q] = stamp
+                        if not removed[edge[q]]:  # q is a new open dart
+                            e = q
+                            break
+                        e = mate[edge[q]]
+                        if not removed[e]:
+                            break
+                        p = edge[e]
+                    seen[e] = stamp
+                    pairs.append((s, e) if s < e else (e, s))
                 closed = 0
-                for x in rot:
-                    if x not in seen and x not in frontier:
+                for p in rot:  # a dart no walk met lies on a circle that closes at v
+                    if seen[p] != stamp:
                         closed += 1
-                        y = x
-                        while y not in seen:
-                            seen.add(y)
-                            y = edge[y]
-                            seen.add(y)
-                            y = mate[y]
-                out = nxt.setdefault(tuple(pairs), {})
-                for (exp, loops), mult in tally.items():
-                    key = (exp + shift, loops + closed)
-                    out[key] = out.get(key, 0) + mult
+                        while seen[p] != stamp:
+                            seen[p] = stamp
+                            q = join[p]
+                            seen[q] = stamp
+                            p = edge[mate[edge[q]]]
+                pairs.sort()
+                key = tuple(pairs)
+                nxt[key] = nxt.get(key, 0) + (tally << (shift + loop_shift * closed))
         states = nxt
+    tally = states[()]
     coeffs: dict[int, int] = {}
     delta_pow: dict[int, LaurentPoly] = {}
-    for (exp, loops), mult in states[()].items():
-        k = loops + d.free_loops - 1
-        if k not in delta_pow:
-            delta_pow[k] = DELTA ** k
-        for e, c in delta_pow[k].coeffs:
-            coeffs[exp + e] = coeffs.get(exp + e, 0) + mult * c
+    mask = (1 << digit) - 1
+    index = 0
+    while tally:
+        mult = tally & mask
+        if mult:
+            loops, a_count = divmod(index, n + 1)
+            k = loops + d.free_loops - 1
+            if k not in delta_pow:
+                delta_pow[k] = _delta_power(k)
+            for e, c in delta_pow[k].coeffs:
+                exp = 2 * a_count - n + e
+                coeffs[exp] = coeffs.get(exp, 0) + mult * c
+        tally >>= digit
+        index += 1
     return LaurentPoly.from_dict(coeffs)
 
 
@@ -247,6 +312,11 @@ def f_poly(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPol
 # ---------------------------------------------------------------------------
 # Quandles and coloring counts
 # ---------------------------------------------------------------------------
+
+
+# largest quandle order a caller may name or load: a table holds n^2 entries
+# and check_quandle costs n^3 steps
+MAX_QUANDLE_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -316,7 +386,8 @@ def check_quandle(table) -> list[str]:
 
 
 def load_quandle(lines) -> Quandle:
-    """Read the text format: first line n, then n rows of n integers."""
+    """Read the text format: first line n, then n rows of n integers, with
+    n at most ``MAX_QUANDLE_ORDER``."""
     if isinstance(lines, str):
         lines = lines.splitlines()
     rows = [ln.strip() for ln in lines if ln.strip()]
@@ -325,6 +396,8 @@ def load_quandle(lines) -> Quandle:
     n = int(rows[0])
     if n < 1:
         raise ValueError(f"quandle size {n} is below 1")
+    if n > MAX_QUANDLE_ORDER:
+        raise ValueError(f"quandle size {n} is above the limit of {MAX_QUANDLE_ORDER}")
     if len(rows) - 1 != n:
         raise ValueError(f"quandle text has {len(rows) - 1} rows, expected {n}")
     q = Quandle(tuple(tuple(int(x) for x in row.split()) for row in rows[1:]))

@@ -5,14 +5,19 @@ Runs are derandomized, so every run tries the same examples, and each
 example has a deadline, so an input that makes a parser hang fails.
 """
 
+import contextlib
+import io
 import json
+import time
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlink.cli import main
 from vlink.codec import (
+    MAX_FREE_LOOPS,
     GaussCodeError,
     _from_canonical,
     diagram_from_json,
@@ -23,7 +28,7 @@ from vlink.codec import (
     to_diagram,
 )
 from vlink.diagram import DiagramError
-from vlink.invariants import check_quandle, load_quandle
+from vlink.invariants import MAX_QUANDLE_ORDER, check_quandle, dihedral_quandle, load_quandle
 
 BOUNDARY = settings(derandomize=True, database=None, deadline=timedelta(seconds=2),
                     max_examples=300)
@@ -46,6 +51,19 @@ def test_parse_gauss_raises_only_gauss_code_errors(text):
     # an accepted code round-trips and builds a valid diagram
     assert parse_gauss(emit_gauss(code)) == code
     to_diagram(code)
+
+
+@BOUNDARY
+@given(st.integers(MAX_FREE_LOOPS - 4, MAX_FREE_LOOPS + 6),
+       st.sampled_from(["", "O1+ U1+", "O1+ U2- / U1+ O2-"]))
+def test_parse_gauss_bounds_the_free_loops(loops, code):
+    text = " / ".join([code] * bool(code) + ["*"] * loops)
+    try:
+        parsed = parse_gauss(text)
+    except GaussCodeError:
+        assert loops > MAX_FREE_LOOPS
+        return
+    assert parsed.free_loops == loops <= MAX_FREE_LOOPS
 
 
 @st.composite
@@ -143,3 +161,45 @@ def test_load_quandle_raises_only_value_errors(text):
     except ValueError:
         return
     assert check_quandle(q.table) == []
+
+
+def quandle_text(declared: int, order: int) -> str:
+    """A quandle file declaring ``declared`` elements, followed by the table
+    of the dihedral quandle of ``order`` elements (none for 0)."""
+    table = dihedral_quandle(order).table if order else ()
+    return f"{declared}\n" + "\n".join(" ".join(map(str, row)) for row in table)
+
+
+BOUND = MAX_QUANDLE_ORDER
+
+
+@BOUNDARY
+@given(st.sampled_from([BOUND - 1, BOUND, BOUND + 1, BOUND + 2, 100000]),
+       st.sampled_from([0, 1, BOUND - 1, BOUND, BOUND + 1]))
+def test_load_quandle_bounds_the_order(declared, order):
+    try:
+        q = load_quandle(quandle_text(declared, order))
+    except ValueError:
+        assert declared != order or declared > BOUND
+        return
+    assert q.size == declared == order <= BOUND
+
+
+def test_cli_exits_3_fast_on_hostile_inputs(tmp_path):
+    # unbounded, these take minutes or ask for a table of 10^10 entries
+    loops = tmp_path / "loops.gauss"
+    loops.write_text(" / ".join(["*"] * 4096))
+    kink = tmp_path / "kink.gauss"
+    kink.write_text("O1+ U1+")
+    big = tmp_path / "big.quandle"
+    big.write_text(quandle_text(100000, 3))
+    for argv in (["equiv", str(loops), str(kink)],
+                 ["equiv", str(kink), str(kink), "--quandles", "R100000"],
+                 ["equiv", str(kink), str(kink), "--quandles", str(big)]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out.getvalue()) == (3, ""), argv
+        assert len(err.getvalue().splitlines()) == 1, argv

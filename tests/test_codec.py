@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vlink.codec import (
-    MAX_JSON_FREE_LOOPS,
+    MAX_FREE_LOOPS,
     GaussCodeError,
     SignedGaussCode,
     Token,
@@ -191,7 +191,7 @@ def test_json_free_loops_are_bounded_integers(loops):
             f'"free_loops":{loops}}}')
     with pytest.raises(GaussCodeError):
         loads(text)
-    assert loads(text.replace(f":{loops}}}", f":{MAX_JSON_FREE_LOOPS}}}")).free_loops == 1024
+    assert loads(text.replace(f":{loops}}}", f":{MAX_FREE_LOOPS}}}")).free_loops == 1024
 
 
 def test_json_fields_are_integers():

@@ -9,6 +9,7 @@ from vlink.invariants import (
     LaurentPoly,
     Quandle,
     StateSumLimitError,
+    _delta_power,
     bracket,
     check_quandle,
     dihedral_quandle,
@@ -33,6 +34,14 @@ KNOT_10A = to_diagram(parse_gauss(
     "U6- U3- O2+ O3- O10+ U1- O8- U2+ O1- O6- U9- U4- U5- O4- U10+ O5- O7+ U8- O9- U7+"))
 KNOT_10B = to_diagram(parse_gauss(
     "O6- O10- U3- O8- O4+ U1- U5+ O5+ U4+ O2+ U6- O1- U10- O3- U2+ U7- O7- U8- O9- U9-"))
+# the first 14-crossing bracket knot of perfbench/invariants_pool.json, whose
+# brackets come from the 2^V oracle
+KNOT_14 = to_diagram(parse_gauss(
+    "O4+ O1+ O13- U7- O2- U6+ O10+ U5- O6+ U4+ U2- U8+ U12+ O7- O11- U10+ U3+ U1+ "
+    "U11- U9+ O14- O3+ O8+ O9+ U13- O5- U14- O12+"))
+KNOT_14_BRACKET = LaurentPoly((
+    (-14, 1), (-12, 1), (-10, -1), (-8, -7), (-6, -27), (-4, -34), (-2, 5), (0, 58),
+    (2, 59), (4, 8), (6, -28), (8, -23), (10, -7), (12, -3), (14, -1)))
 R3Q = dihedral_quandle(3)
 R5Q = dihedral_quandle(5)
 
@@ -109,6 +118,37 @@ def test_bracket_matches_naive_enumerator():
         order = list(range(KNOT_13.n_vertices))
         rng.shuffle(order)
         assert bracket(relabel(KNOT_13, order)) == expected
+
+
+def test_bracket_of_a_pinned_14_crossing_knot():
+    assert bracket(KNOT_14) == KNOT_14_BRACKET
+    rng = random.Random(14)
+    for _ in range(4):
+        order = list(range(KNOT_14.n_vertices))
+        rng.shuffle(order)
+        assert bracket(relabel(KNOT_14, order)) == KNOT_14_BRACKET
+
+
+def test_bracket_packing_holds_the_widest_digit():
+    # 20 kinks, at the state-sum cap: the digit of 10 A-smoothings (and 30
+    # closed circles) counts C(20, 10) = 184,756 states, which needs 18 bits
+    kinks = to_diagram(parse_gauss(" / ".join(f"O{i}+ U{i}+" for i in range(1, 21))))
+    assert kinks.n_vertices == 20
+    assert bracket(kinks) == DELTA ** 19 * LaurentPoly.monomial(3, -1) ** 20
+
+
+def test_delta_power_expands_by_binomials():
+    for k in range(61):
+        assert _delta_power(k) == DELTA ** k, k
+
+
+def test_bracket_of_many_free_loops():
+    # delta is -2 at A = 1
+    loops = to_diagram(parse_gauss(" / ".join(["*"] * 1024)))
+    b = bracket(loops)
+    assert len(b.coeffs) == 1024 and b.coeffs[-1] == (2046, -1)
+    assert sum(c for _, c in b.coeffs) == (-2) ** 1023
+    assert f_poly(loops) == b
 
 
 def test_bracket_mirror_substitution():
