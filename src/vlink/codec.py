@@ -6,17 +6,24 @@ Grammar::
     component = "*" | token+
     token     = ("O" | "U") digit+ ("+" | "-")
 
-Whitespace separates tokens and is otherwise ignored; "*" denotes one
-crossing-free loop component.  A valid code uses every crossing index
-exactly twice, once as O and once as U, with the same sign both times.
+Digits are ASCII.  Whitespace separates tokens and is otherwise ignored;
+"*" denotes one crossing-free loop component.  A valid code uses every
+crossing index exactly twice, once as O and once as U, with the same
+sign both times.
+
+One reader, :func:`_read`, takes the text apart with one pattern and
+checks the code in the same pass; :func:`parse_gauss` and the search's
+:func:`_from_canonical` both read through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 
-from .diagram import Diagram, _from_passes, require_valid
+from .diagram import Diagram, _check_passes, _from_passes, require_valid
 
 
 # free loops a text code or JSON diagram may carry: JSON gives the count as
@@ -45,92 +52,104 @@ class SignedGaussCode:
     free_loops: int = 0
 
 
-def _validate_code(components, free_loops, pos_of=None) -> None:
-    if free_loops < 0:
-        raise GaussCodeError("negative free loop count")
-    occurrences: dict[int, list[Token]] = {}
-    for comp in components:
-        if not comp:
-            raise GaussCodeError("empty component")
-        for tok in comp:
-            occurrences.setdefault(tok.index, []).append(tok)
-    for idx, toks in sorted(occurrences.items()):
-        where = None if pos_of is None else pos_of.get(idx)
-        if len(toks) != 2:
-            raise GaussCodeError(f"crossing {idx} appears {len(toks)} times, expected 2", where)
-        roles = {t.role for t in toks}
-        if roles != {"O", "U"}:
-            raise GaussCodeError(f"crossing {idx} does not appear once over and once under", where)
-        if toks[0].sign != toks[1].sign:
-            raise GaussCodeError(f"crossing {idx} appears with both signs", where)
+# one piece of signed Gauss text per match: a crossing token, whose index
+# or sign may be missing; a "*" or "/"; or any other character but
+# whitespace, which separates pieces and is otherwise skipped
+_PIECE = re.compile(r"([OU])([0-9]*)([+-]?)|(\S)")
+_END = ("", "", "", "/")  # the piece that closes the last component
+_OTHER_ROLE = {"O": "U", "U": "O"}
+
+
+def _fault(message: str, text: str, k: int, group: int) -> GaussCodeError:
+    """The error at ``group`` of piece ``k`` of ``text``, or at its end
+    when ``k`` is past the last piece."""
+    m = next(itertools.islice(_PIECE.finditer(text), k, None), None)
+    return GaussCodeError(message, len(text) if m is None else m.start(group))
+
+
+def _misused(text: str, pieces, index: int) -> GaussCodeError:
+    """The error at the first token of crossing ``index``, which ``text``
+    does not use once as O and once as U with one sign."""
+    name = str(index)
+    uses = [(k, role) for k, (role, digits, _, _) in enumerate(pieces)
+            if role and digits.lstrip("0") == name]
+    why = (f"appears {len(uses)} times, expected 2" if len(uses) != 2 else
+           "does not appear once over and once under" if uses[0][1] == uses[1][1] else
+           "appears with both signs")
+    return _fault(f"crossing {index} {why}", text, uses[0][0], 1)
+
+
+def _read(text: str):
+    """``(rows, free_loops, index_of)`` of signed Gauss text: per component
+    the ``(vertex, role, sign)`` rows, vertices numbered by first
+    appearance, the count of "*" components, and the crossing index of
+    each vertex.  One pass over the pieces checks each crossing against
+    the token still expected for it and raises :class:`GaussCodeError`
+    at the first fault: an unexpected character at itself, a bad index at
+    its first digit, a missing sign just after the digits, and a crossing
+    that does not occur once as O and once as U with one sign at its
+    first occurrence."""
+    pieces = _PIECE.findall(text)
+    if not pieces:
+        return [], 0, []
+    pieces.append(_END)
+    rows, row, loops, star = [], [], 0, False
+    vertex: dict[int, int] = {}  # crossing index -> vertex, in vertex order
+    expect: list = []  # per vertex, the (vertex, role, sign) still to come
+    for k, (role, digits, sign, mark) in enumerate(pieces):
+        if role:
+            try:
+                index = int(digits)
+            except ValueError:
+                raise _fault("crossing index is too long" if digits else
+                             "expected crossing index after role", text, k, 2) from None
+            if index <= 0:
+                raise _fault("crossing index must be positive", text, k, 2)
+            if not sign:
+                raise _fault("expected sign after crossing index", text, k, 3)
+            if star:
+                raise _fault("'*' must be a component on its own", text, k, 1)
+            v = vertex.get(index)
+            if v is None:
+                v = vertex[index] = len(expect)
+                expect.append((v, _OTHER_ROLE[role], sign))
+            elif expect[v] == (v, role, sign):
+                expect[v] = None
+            else:
+                raise _misused(text, pieces, index)
+            row.append((v, role, sign))
+        elif mark == "/":
+            if star:
+                loops += 1
+                star = False
+            elif row:
+                rows.append(row)
+                row = []
+            else:
+                raise _fault("empty component", text, k, 4)
+        elif mark == "*":
+            if star or row:
+                raise _fault("'*' must be a component on its own", text, k, 4)
+            star = True
+        else:
+            raise _fault(f"unexpected character {mark!r}", text, k, 4)
+    for index, still in zip(vertex, expect):
+        if still is not None:
+            raise _misused(text, pieces, index)
+    return rows, loops, list(vertex)
 
 
 def parse_gauss(text: str) -> SignedGaussCode:
     """Parse Gauss code text; raises :class:`GaussCodeError` with a position
     on bad input, including more than ``MAX_FREE_LOOPS`` "*" components."""
-    if text.strip() == "":
-        return SignedGaussCode(components=())
-    components: list[tuple[Token, ...]] = []
-    free_loops = 0
-    pos_of: dict[int, int] = {}
-    i, n = 0, len(text)
-    current: list[Token] = []
-    starred = False
-
-    def end_component(at: int) -> None:
-        nonlocal current, free_loops, starred
-        if starred:
-            if current:
-                raise GaussCodeError("'*' must be a component on its own", at)
-            free_loops += 1
-            if free_loops > MAX_FREE_LOOPS:
-                raise GaussCodeError(f"more than {MAX_FREE_LOOPS} free loops", at)
-        elif current:
-            components.append(tuple(current))
-        else:
-            raise GaussCodeError("empty component", at)
-        current = []
-        starred = False
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "/":
-            end_component(i)
-            i += 1
-        elif ch == "*":
-            if starred or current:
-                raise GaussCodeError("'*' must be a component on its own", i)
-            starred = True
-            i += 1
-        elif ch in "OU":
-            start = i
-            i += 1
-            j = i
-            while j < n and text[j] in "0123456789":
-                j += 1
-            if j == i:
-                raise GaussCodeError("expected crossing index after role", i)
-            try:
-                index = int(text[i:j])
-            except ValueError:  # more digits than int() converts
-                raise GaussCodeError("crossing index is too long", i) from None
-            if index <= 0:
-                raise GaussCodeError("crossing index must be positive", i)
-            if j >= n or text[j] not in "+-":
-                raise GaussCodeError("expected sign after crossing index", j)
-            if starred:
-                raise GaussCodeError("'*' must be a component on its own", start)
-            current.append(Token(ch, index, 1 if text[j] == "+" else -1))
-            pos_of.setdefault(index, start)
-            i = j + 1
-        else:
-            raise GaussCodeError(f"unexpected character {ch!r}", i)
-    end_component(n)
-
-    _validate_code(components, free_loops, pos_of)
-    return SignedGaussCode(tuple(components), free_loops)
+    rows, loops, index_of = _read(text)
+    if loops > MAX_FREE_LOOPS:
+        # at the "/" or text end that closes the first "*" past the limit
+        end = text.find("/", [i for i, ch in enumerate(text) if ch == "*"][MAX_FREE_LOOPS])
+        raise GaussCodeError(f"more than {MAX_FREE_LOOPS} free loops",
+                             len(text) if end < 0 else end)
+    return SignedGaussCode(tuple(tuple(Token(role, index_of[v], 1 if sgn == "+" else -1)
+                                       for v, role, sgn in row) for row in rows), loops)
 
 
 def emit_gauss(code: SignedGaussCode) -> str:
@@ -148,52 +167,21 @@ def to_diagram(code: SignedGaussCode) -> Diagram:
     Crossing indices become vertices in order of first appearance; vertex v
     owns darts 4v..4v+3 with counterclockwise rotation (4v, 4v+1, 4v+2, 4v+3),
     over-in at slot 0, and under-in at slot 1 (sign +) or slot 3 (sign -).
+    Raises :class:`~vlink.diagram.DiagramError` unless every component has
+    a token and every crossing occurs once as O and once as U with one sign.
     """
-    _validate_code(code.components, code.free_loops)
     vertex: dict[int, int] = {}
     rows = [[(vertex.setdefault(t.index, len(vertex)), t.role, "+" if t.sign > 0 else "-")
              for t in comp] for comp in code.components]
+    _check_passes(rows)
     return require_valid(_from_passes(rows, code.free_loops))
 
 
-_OTHER_ROLE = {"O": "U", "U": "O"}
-
-
 def _from_canonical(cs: str) -> Diagram:
-    """``to_diagram(parse_gauss(cs))`` for text in the form
-    :func:`emit_gauss` and ``canonical_string`` write, read straight from
-    its tokens: components joined by ``" / "``, tokens by one space,
-    crossing indices in ASCII digits without a leading zero.  Any other
-    text, and any crossing that does not occur once as O and once as U
-    with one sign, raises :class:`GaussCodeError`."""
-    vertex: dict[str, int] = {}  # crossing index text -> vertex
-    partner: list[str | None] = []  # per vertex, the token still to come
-    rows, loops = [], 0
-    for part in cs.split(" / ") if cs else ():
-        if part == "*":
-            loops += 1
-            continue
-        passes = []
-        for tok in part.split(" "):
-            index = tok[1:-1]
-            v = vertex.get(index)
-            if v is None:
-                role, sign = tok[:1], tok[-1:]
-                if (role not in _OTHER_ROLE or sign not in ("+", "-") or not index.isdigit()
-                        or not index.isascii() or index[0] == "0"):
-                    raise GaussCodeError(f"malformed token {tok!r} in {cs!r}")
-                v = vertex[index] = len(partner)
-                partner.append(_OTHER_ROLE[role] + tok[1:])
-            elif partner[v] == tok:
-                partner[v] = None
-            else:
-                raise GaussCodeError(f"crossing {index} of {cs!r} does not occur "
-                                     "once as O and once as U with one sign")
-            passes.append((v, tok[0], tok[-1]))
-        rows.append(passes)
-    for tok in partner:
-        if tok is not None:
-            raise GaussCodeError(f"crossing {tok[1:-1]} of {cs!r} occurs once")
+    """``to_diagram(parse_gauss(cs))`` without the free-loop limit, which
+    R1- and R2- can leave search states a few loops above, and without
+    building :class:`Token` values."""
+    rows, loops, _ = _read(cs)
     return require_valid(_from_passes(rows, loops))
 
 

@@ -164,9 +164,11 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
                         sites.append(MoveSite("R2+stab", ("loop", i, src), variant))
                 sites.append(MoveSite("R2+stab", ("loopself", i), "over"))
                 sites.append(MoveSite("R2+stab", ("loopself", i), "under"))
-            for i, j in itertools.combinations(range(d.free_loops), 2):
+            # joining loops i and j gives the same diagram for every pair,
+            # so only the pairs with loop 0 are listed
+            for j in range(1, d.free_loops):
                 for variant in ("a_over", "a_under", "b_over", "b_under"):
-                    sites.append(MoveSite("R2+stab", ("loops", i, j), variant))
+                    sites.append(MoveSite("R2+stab", ("loops", 0, j), variant))
 
     sites.sort(key=MoveSite.sort_key)
     return sites

@@ -1,9 +1,10 @@
 """Bounded exploration of the move graph.
 
 States are canonical strings; the representative of a state is rebuilt
-deterministically from the string's tokens by ``codec._from_canonical``,
-so stored move sites always refer to the representative's labels and
-every path replays.  The move set here includes R2+stab, the
+deterministically from the string by ``codec._from_canonical``, which
+reads it with ``codec._read``, the one reader of signed Gauss text, so
+stored move sites always refer to the representative's labels and every
+path replays.  The move set here includes R2+stab, the
 stabilizing addition across distinct faces, without which
 genus-changing transitions would be unreachable.
 

@@ -34,20 +34,30 @@ BOUNDARY = settings(derandomize=True, database=None, deadline=timedelta(seconds=
                     max_examples=300)
 
 
-def biased_text(alphabet: str):
-    """Text whose pieces are mostly characters of ``alphabet`` or numbers,
+def biased_text(alphabet):
+    """Text whose pieces are mostly items of ``alphabet`` or numbers,
     and sometimes any character."""
     piece = st.sampled_from(alphabet) | st.integers(0, 30).map(str) | st.characters()
     return st.lists(piece, max_size=24).map("".join)
 
 
+# whitespace that str.isspace() knows beyond the space, and tokens with no
+# space between them
+SPACES_AND_ADJACENT_TOKENS = [*"\t\n\x1c\u00a0\u2028", "O1+U1+"]
+
+
 @BOUNDARY
-@given(biased_text("OU+-/* ²١"))
+@given(biased_text([*"OU+-/* ²١", *SPACES_AND_ADJACENT_TOKENS]))
 def test_parse_gauss_raises_only_gauss_code_errors(text):
+    # any run of whitespace reads as one space
+    spaced = " ".join(text.split())
     try:
         code = parse_gauss(text)
     except GaussCodeError:
+        with pytest.raises(GaussCodeError):
+            parse_gauss(spaced)
         return
+    assert parse_gauss(spaced) == code
     # an accepted code round-trips and builds a valid diagram
     assert parse_gauss(emit_gauss(code)) == code
     to_diagram(code)
@@ -92,7 +102,7 @@ def code_text(draw) -> str:
 
 
 @BOUNDARY
-@given(code_text() | biased_text("OU+-/* 0²١"))
+@given(code_text() | biased_text([*"OU+-/* 0²١", *SPACES_AND_ADJACENT_TOKENS]))
 def test_from_canonical_builds_what_the_parser_builds(text):
     try:
         d = _from_canonical(text)

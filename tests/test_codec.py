@@ -7,6 +7,7 @@ from vlink.codec import (
     GaussCodeError,
     SignedGaussCode,
     Token,
+    _from_canonical,
     diagram_from_json,
     diagram_to_json,
     dumps,
@@ -85,6 +86,41 @@ def test_parse_error_position():
         with pytest.raises(GaussCodeError) as info:
             parse_gauss(text)
         assert info.value.position == 5
+
+
+@pytest.mark.parametrize("text, position", [
+    ("O1+ U+", 5),              # a role with no index: just after the role
+    ("O1+ U", 5),
+    ("O1+ U1", 6),              # a missing sign: just after the digits
+    ("O12 U12+", 3),
+    ("O1+ U0+", 5),             # a zero index: its first digit
+    ("O1+ * U1+", 4),           # "*" inside a component: the "*"
+    ("* O1+ U1+", 2),           # ... or the token after it
+    ("* / * *", 6),
+    ("/ O1+ U1+", 0),           # an empty component: the "/" that ends it
+    ("O1+ U1+ / / *", 10),
+    ("O1+ U1+ /", 9),           # a trailing component: the end of the text
+    ("O1+ U1+ / ", 10),
+    ("O2+ U2+ O1+", 8),         # a crossing seen once: its occurrence
+    ("O1+U1+ O2-", 7),
+    ("O1+ O2- U1+ O2-", 4),     # seen twice with one role: its first occurrence
+    ("O1+ O2- U1+ U2+", 4),     # mixed signs: its first occurrence
+    ("O1+ U1+ O1+", 0),         # seen three times: its first occurrence
+])
+def test_parse_error_positions(text, position):
+    with pytest.raises(GaussCodeError) as info:
+        parse_gauss(text)
+    assert type(info.value) is GaussCodeError and info.value.position == position
+
+
+def test_from_canonical_reads_more_free_loops_than_parse_gauss():
+    text = " / ".join(["O1+ U1+"] + ["*"] * (MAX_FREE_LOOPS + 6))
+    with pytest.raises(GaussCodeError) as info:
+        parse_gauss(text)
+    # at the "/" after the first "*" past the limit
+    assert info.value.position == text.index("/", len("O1+ U1+") + 4 * MAX_FREE_LOOPS + 3) == 4108
+    d = _from_canonical(text)
+    assert d.free_loops == 1030 and d.n_vertices == 1
 
 
 def test_emit_normalizes_and_round_trips():

@@ -48,6 +48,16 @@ def test_empty_diagram_r1_plus_counts_loops():
         assert all(s.where[0] == "loop" for s in sites)
 
 
+def test_loop_joins_are_listed_with_loop_0():
+    # joining any two free loops gives one diagram, so only loop 0's pairs are listed
+    d = Diagram((), (), (), (), free_loops=4)
+    joins = [s for s in enumerate_moves(d, {"R2+stab"}) if s.where[0] == "loops"]
+    assert {s.where for s in joins} == {("loops", 0, j) for j in (1, 2, 3)}
+    assert len(joins) == 12
+    with pytest.raises(MoveError):
+        apply_move(d, MoveSite("R2+stab", ("loops", 1, 2), "a_over"))
+
+
 def test_r1_plus_on_loop_gives_positive_kink():
     site = enumerate_moves(UNKNOT, {"R1+"})[0]
     out = apply_move(UNKNOT, site)

@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from vlink.codec import GaussCodeError, _from_canonical, parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, DiagramError, canonical_string, stats
+from vlink.codec import MAX_FREE_LOOPS, GaussCodeError, _from_canonical, parse_gauss, to_diagram
+from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
 from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked, _site_applies
@@ -216,7 +217,7 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
         skipped += _check_listing(rep, cap, full_listing(rep, cap))
     # every repeat moves._unrepeated knows of: pinned, so that a site it
     # stops skipping shows here although the results stay the same
-    assert skipped == 23034
+    assert skipped == 22906
 
 
 def _clear_memos():
@@ -318,18 +319,21 @@ def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
 
 
 def test_rep_builds_what_the_parser_builds(corpus_v3):
-    # every state of one closed cap-4 orbit, the V<=3 corpus and a seeded random corpus
+    # codec._from_canonical rebuilds each state's representative: every
+    # state of one closed cap-4 orbit, the V<=3 corpus and a seeded random
+    # corpus, and texts in other spacing or with zero-led indices
     res = orbit(UNKNOT, SearchBounds(4, max_states=None))
     assert not res.truncated and len(res.states) == 1531
     others = corpus_v3 + random_diagrams(29, 300, max_v=6, max_comps=3, max_loops=2)
-    for cs in sorted(res.states | {canonical_string(d) for d in others}):
+    for cs in sorted(res.states | {canonical_string(d) for d in others}) + [
+            "O1+  U1+", "O01+ U01+", "O01+ U1+"]:
         assert _from_canonical(cs) == to_diagram(parse_gauss(cs)), cs
 
 
 @pytest.mark.parametrize("cs", [
     "O1+", "O1+ O1+", "O1+ U1-", "O1+ U1+ U1+", "O1+ U1+ / O1+ U1+", "U1+ O1+ U1+",
-    "X1+ U1+", "O1 U1", "Oa+ Ua+", "O\u0661+ U\u0661+", "O1+  U1+", "O1+ U1+ / ", "O1+ * U1+",
-    "O0+ U0+", "O01+ U01+", "O01+ U1+",
+    "X1+ U1+", "O1 U1", "Oa+ Ua+", "O\u0661+ U\u0661+", "O1+ U1+ / ", "O1+ * U1+",
+    "O0+ U0+",
 ])
 def test_rep_rejects_malformed_states(cs):
     with pytest.raises(GaussCodeError):
@@ -426,6 +430,16 @@ def test_minimize_trefoil_upper_bound_under_tight_budget():
     assert canonical_string(res.witness) == canonical_string(TREFOIL)
     assert (res.total_genus, res.crossings) == (0, 3)
     assert not res.certified  # state budget truncated the cap-5 orbit
+
+
+def test_minimize_many_free_loops_is_fast():
+    # a state's listing grows linearly with its free loops
+    d = Diagram((), (), (), (), free_loops=MAX_FREE_LOOPS)
+    _clear_memos()
+    start = time.perf_counter()
+    res = minimize(d, SearchBounds(max_crossings=2, max_states=None))
+    assert time.perf_counter() - start < 2
+    assert res.certified and res.explored == 19 and res.witness == d
 
 
 def test_minimize_monotone():
