@@ -11,13 +11,21 @@ Pattern dictionary (faces are orbits of sigma o alpha, see vlink.surface):
   triangle crossings along each of the three strands and keeps every
   vertex's rotation and decoration.
 * R1+: insert a curl on an edge (four decorated variants) or on a free
-  loop (one canonical positive curl; the stabilizing move set also
-  offers the negative curl so every kink removal stays invertible).
+  loop (the positive and the negative curl, so every kink removal is
+  undone by a curl).
 * R2+: push one edge side across a face over/under another side of the
   same face, including a side over itself (forward fold); pushing
   across two *distinct* faces is the stabilizing variant R2+stab, which
   also covers attaching free loops, crossing an edge over its own other
   side through a handle, and folding a free loop through a handle.
+
+:func:`enumerate_moves` lists each distinct move once, by its local
+picture.  Three kinds of site would repeat another's result and are not
+listed: pushing ``x`` over ``y`` is pushing ``y`` under ``x``, so of the
+two pushes the one whose ``y`` sorts before its ``x`` is left out; the
+free loops are interchangeable, so only loop 0 (and the join of loops 0
+and 1) carries sites; and the two bigons on one vertex pair remove the
+same crossings, so only the one whose site sorts first is listed.
 
 A move edits the signed Gauss code, :attr:`Diagram.passes` (Polyak,
 *Minimal generating sets of Reidemeister moves*, 2010): R1- and R2- drop
@@ -77,17 +85,20 @@ def _monogon_vertices(d: Diagram) -> list[int]:
 
 
 def _bigon_faces(d: Diagram) -> list[tuple[int, int]]:
-    """Coherent two-vertex bigon faces, as normalized face dart pairs."""
-    out = []
+    """Coherent two-vertex bigon faces, as normalized face dart pairs; of
+    two on one vertex pair, which excise the same crossings, the one whose
+    site sorts first."""
+    out = {}
     for face in trace_faces(d):
         if len(face) != 2:
             continue
         d1, d2 = face
-        if d.vertex_of[d1] == d.vertex_of[d2]:
+        pair = frozenset((d.vertex_of[d1], d.vertex_of[d2]))
+        if len(pair) == 1 or d.is_over(d1) != d.is_over(d.edge_pair[d1]):
             continue
-        if d.is_over(d1) == d.is_over(d.edge_pair[d1]):
-            out.append(face)
-    return out
+        if pair not in out or tuple(map(str, face)) < tuple(map(str, out[pair])):
+            out[pair] = face
+    return list(out.values())
 
 
 def _triangle_faces(d: Diagram) -> list[tuple[int, int, int]]:
@@ -108,7 +119,8 @@ def _triangle_faces(d: Diagram) -> list[tuple[int, int, int]]:
 
 
 def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
-    """All applicable sites of the requested kinds, duplicate-free and sorted."""
+    """Every distinct applicable move of the requested kinds, one site
+    each (see the module docstring), sorted by :meth:`MoveSite.sort_key`."""
     require_valid(d)
     kinds = set(kinds)
     bad = kinds - ALL_KINDS
@@ -131,12 +143,10 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
         for src in out_darts:
             for variant in ("lo", "lu", "ro", "ru"):
                 sites.append(MoveSite("R1+", (src,), variant))
-        # one canonical positive curl per loop; the stabilizing move set
-        # also gets the negative curl so kink removals stay invertible
-        loop_variants = ("lo", "ro") if "R2+stab" in kinds else ("lo",)
-        for i in range(d.free_loops):
-            for variant in loop_variants:
-                sites.append(MoveSite("R1+", ("loop", i), variant))
+        if d.free_loops:
+            # both curls, so that every kink removal is undone by a curl
+            sites.append(MoveSite("R1+", ("loop", 0), "lo"))
+            sites.append(MoveSite("R1+", ("loop", 0), "ro"))
 
     if "R2+" in kinds or "R2+stab" in kinds:
         face_of = _face_of(d)
@@ -147,65 +157,29 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
                     sites.append(MoveSite("R2+stab", (x, y), "over"))
                     sites.append(MoveSite("R2+stab", (x, y), "under"))
                 continue
-            cofacial = face_of[x] == face_of[y]
             if x == y:
                 if "R2+" in kinds:
                     sites.append(MoveSite("R2+", (x, x), "over"))
                     sites.append(MoveSite("R2+", (x, x), "under"))
                 continue
-            kind = "R2+" if cofacial else "R2+stab"
+            if str(y) < str(x):
+                continue  # the mirror push (y, x) is listed
+            kind = "R2+" if face_of[x] == face_of[y] else "R2+stab"
             if kind in kinds:
                 sites.append(MoveSite(kind, (x, y), "over"))
                 sites.append(MoveSite(kind, (x, y), "under"))
-        if "R2+stab" in kinds:
-            for i in range(d.free_loops):
-                for src in out_darts:
-                    for variant in ("a_over", "a_under", "b_over", "b_under"):
-                        sites.append(MoveSite("R2+stab", ("loop", i, src), variant))
-                sites.append(MoveSite("R2+stab", ("loopself", i), "over"))
-                sites.append(MoveSite("R2+stab", ("loopself", i), "under"))
-            # joining loops i and j gives the same diagram for every pair,
-            # so only the pairs with loop 0 are listed
-            for j in range(1, d.free_loops):
+        if "R2+stab" in kinds and d.free_loops:
+            for src in out_darts:
                 for variant in ("a_over", "a_under", "b_over", "b_under"):
-                    sites.append(MoveSite("R2+stab", ("loops", 0, j), variant))
+                    sites.append(MoveSite("R2+stab", ("loop", 0, src), variant))
+            sites.append(MoveSite("R2+stab", ("loopself", 0), "over"))
+            sites.append(MoveSite("R2+stab", ("loopself", 0), "under"))
+            if d.free_loops > 1:
+                for variant in ("a_over", "a_under", "b_over", "b_under"):
+                    sites.append(MoveSite("R2+stab", ("loops", 0, 1), variant))
 
     sites.sort(key=MoveSite.sort_key)
     return sites
-
-
-def _unrepeated(d: Diagram, sites: list[MoveSite]):
-    """The sites of ``d``'s sorted listing ``sites`` less each one known,
-    before it is applied, to give the same state as an earlier site:
-
-    * Mirrored push sites: pushing ``x`` over ``y`` (R2+ or R2+stab,
-      ``x != y`` and ``y`` not ``x``'s edge partner) is pushing ``y``
-      under ``x``, so ``(x, y, v)`` and ``(y, x, other variant)`` give
-      isomorphic results.  Both are listed, with the same kind, and the
-      one whose ``x`` sorts first by ``MoveSite.sort_key`` is kept.
-      Folds and handle interleaves have no such partner.
-    * Free-loop indices: the builders ignore which free loop they use, so
-      every index gives the same ``Diagram``; only loop 0 (and the pair
-      ``(0, 1)``) is kept, for curls, attachments and self-folds alike.
-    * R2- bigons on one vertex pair excise the same vertices, so give the
-      same ``Diagram``; only the first is kept.
-    """
-    bigons = set()
-    for site in sites:
-        where = site.where
-        if site.kind == "R2-":
-            pair = frozenset(d.vertex_of[x] for x in where)
-            if pair in bigons:
-                continue
-            bigons.add(pair)
-        elif where[0] in ("loop", "loopself", "loops"):
-            if where[1] != 0 or (where[0] == "loops" and where[2] != 1):
-                continue
-        elif site.kind in ("R2+", "R2+stab"):
-            x, y = where
-            if x != y and y != d.edge_pair[x] and str(y) < str(x):
-                continue
-        yield site
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +322,12 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
     return _from_passes(rows, free_loops)
 
 
-def _site_applies(d: Diagram, site: MoveSite) -> bool:
-    """True when ``site`` is one that :func:`enumerate_moves` lists for ``d``.
-
-    A curl on a free loop is checked directly: ``enumerate_moves`` lists
-    the positive one, and beside R2+stab also the negative one.
-    """
-    if site.kind == "R1+" and site.where[:1] == ("loop",):
-        return (len(site.where) == 2 and site.where[1] in range(d.free_loops)
-                and site.variant in ("lo", "ro"))
-    return site in enumerate_moves(d, {site.kind})
-
-
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
-    """Apply an enumerated site; rejects stale sites, returns a valid
-    diagram laid out as :func:`vlink.codec.to_diagram` lays out a code."""
+    """Apply a site :func:`enumerate_moves` lists; rejects any other site,
+    stale or repeating a listed one, and returns a valid diagram laid out
+    as :func:`vlink.codec.to_diagram` lays out a code."""
     require_valid(d)
-    if not _site_applies(d, site):
+    if site not in enumerate_moves(d, {site.kind}):
         raise MoveError(f"site {site} is not applicable")
     out = _apply_unchecked(d, site)
     if not out.is_valid:

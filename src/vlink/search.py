@@ -11,11 +11,12 @@ genus-changing transitions would be unreachable.
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
 search shares; the listing holds the state's minimize rank and its
-successors, both read from that one representative.  A listing skips
-the sites ``moves._unrepeated`` knows to repeat an earlier site's state,
-and keeps the first site reaching each state, so skipping changes no
-result.  Successors are labelled from ``moves._edit``'s Gauss code,
-checked by ``diagram._check_passes``, without building a ``Diagram``.
+successors, both read from that one representative.  A listing is
+``moves.enumerate_moves``, which lists each distinct move once: a site
+it leaves out repeats the state of a site it lists earlier, so leaving
+it out changes no result.  Successors are labelled from
+``moves._edit``'s Gauss code, checked by ``diagram._check_passes``,
+without building a ``Diagram``.
 Replay does not use the memo: it re-derives each step from a freshly
 built representative, and builds, validates and labels each result.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from .codec import _from_canonical
 from .diagram import Diagram, _check_passes, _label, canonical_string, require_valid, stats
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
-from .moves import MoveSite, _apply_unchecked, _edit, _site_applies, _unrepeated, enumerate_moves
+from .moves import MoveSite, _apply_unchecked, _edit, enumerate_moves
 from .surface import genus
 
 DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
@@ -99,23 +100,15 @@ _GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 def _expand(rep: Diagram, max_crossings: int):
     """Deterministic (site, canonical result) successors within the
-    crossing cap.  The negative curl on a free loop, which
-    ``enumerate_moves`` lists only beside R2+stab, is offered whenever R1+
-    fits, so every kink removal stays invertible at the cap.
-
-    Sites that ``moves._unrepeated`` knows to repeat an earlier site's
-    state (mirrored R2 pushes, free-loop indices other than 0, a second
-    R2- bigon on one vertex pair) are not applied.  The first site giving
-    each state is always kept, so searches reach the same states through
-    the same first sites, and record the same parents and paths.  Each
-    result is labelled from its checked Gauss code, with no ``Diagram``."""
+    crossing cap, one per site ``enumerate_moves`` lists for the moves
+    that fit.  The listing holds no site known to repeat an earlier
+    site's state, and keeps the first site giving each state, so searches
+    reach the same states through the same first sites, and record the
+    same parents and paths, as with every site applied.  Each result is
+    labelled from its checked Gauss code, with no ``Diagram``."""
     room = max_crossings - rep.n_vertices
     kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
-    sites = enumerate_moves(rep, kinds)
-    if room == 1 and rep.free_loops:  # R1+ fits, R2+stab does not
-        sites += [MoveSite("R1+", ("loop", i), "ro") for i in range(rep.free_loops)]
-        sites.sort(key=MoveSite.sort_key)
-    for site in _unrepeated(rep, sites):
+    for site in enumerate_moves(rep, kinds):
         rows, free_loops = _edit(rep, site)
         yield site, _label(rows, _check_passes(rows), free_loops)
 
@@ -263,7 +256,7 @@ def _replay(start_cs: str, path, end_cs: str) -> bool:
     cs = start_cs
     for site, expected in path:
         rep = _from_canonical(cs)
-        if not _site_applies(rep, site):
+        if site not in enumerate_moves(rep, {site.kind}):
             return False
         result = _apply_unchecked(rep, site)
         if not result.is_valid or canonical_string(result) != expected:

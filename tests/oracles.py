@@ -8,17 +8,18 @@ strings emitted in full for every component order and start.  Strand
 circuits, crossing signs and arcs are read from a diagram's raw fields
 here, not from ``Diagram.passes``.  None of it shares code paths with
 the production algorithms, except that the search oracles apply the
-production moves: ``full_listing`` applies every site
-``vlink.moves.enumerate_moves`` lists within the crossing cap, plus the
-negative free-loop curls where only R1+ fits, and skips none of them.
-It shares ``vlink.moves._edit`` with the search, but builds each result
+production moves: ``every_site`` lists every move site from the raw
+fields and ``naive_faces``, repeats included, where
+``vlink.moves.enumerate_moves`` lists each distinct move once, and
+``full_listing`` applies all of those within the crossing cap.  It
+shares ``vlink.moves._edit`` with the search, but builds each result
 with ``vlink.diagram._from_passes`` (through ``_apply_unchecked``) and
 labels it with ``canonical_string``, where the search labels the edited
 code directly.  So they pin the breadth-first loop, the budget, the
-ranking, the search's skipping of repeated sites and its labelling, not
-the moves.  Their representatives come from the text parser,
-``to_diagram(parse_gauss(cs))``, not from the search's own builder
-``vlink.codec._from_canonical``.
+ranking, the listing's leaving out of repeated sites and the search's
+labelling, not the moves.  Their representatives come from the text
+parser, ``to_diagram(parse_gauss(cs))``, not from the search's own
+builder ``vlink.codec._from_canonical``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import Diagram, canonical_string
 from vlink.invariants import DELTA, LaurentPoly, Quandle
-from vlink.moves import MoveSite, _apply_unchecked, enumerate_moves
+from vlink.moves import MoveSite, _apply_unchecked
 from vlink.surface import genus
 
 
@@ -278,20 +279,60 @@ def linear_colorings(d: Diagram, p: int, t: int) -> int:
     return p ** (n_arcs - rank)
 
 
+def every_site(d: Diagram, kinds) -> list[MoveSite]:
+    """Every move site of the requested kinds, in ``MoveSite.sort_key``
+    order, repeats included: both pushes of each mirrored pair, both
+    bigons on one vertex pair, and the sites of every free loop, both
+    curls on each whenever R1+ is asked.  Joins of two free loops are
+    listed with loop 0 only: every pair gives one diagram.  Faces come
+    from :func:`naive_faces`, everything else from the raw fields."""
+    sigma = _sigma(d)
+    vertex_of = {x: v for v, rot in enumerate(d.rotations) for x in rot}
+    over = {x for pair in d.over_pair for x in pair}
+    faces = naive_faces(d)
+    face_of = {x: i for i, face in enumerate(faces) for x in face}
+    out_darts = [x for x in range(d.n_darts) if not d.inbound[x]]
+    edge = d.edge_pair
+    sites = []
+    if "R1-" in kinds:
+        sites += [MoveSite("R1-", (v,)) for v, rot in enumerate(d.rotations)
+                  if any(sigma[edge[x]] == x for x in rot)]
+    for face in faces:
+        corners = {vertex_of[edge[x]] for x in face}
+        if "R2-" in kinds and len(face) == 2 and len(corners) == 2 \
+                and (face[0] in over) == (edge[face[0]] in over):
+            sites.append(MoveSite("R2-", face))
+        if "R3" in kinds and len(face) == 3 and len(corners) == 3 \
+                and len({edge[x] in over for x in face}) == 2:
+            sites.append(MoveSite("R3", face))
+    if "R1+" in kinds:
+        sites += [MoveSite("R1+", (x,), v) for x in out_darts for v in ("lo", "lu", "ro", "ru")]
+        sites += [MoveSite("R1+", ("loop", i), v) for i in range(d.free_loops) for v in ("lo", "ro")]
+    for x, y in itertools.product(range(d.n_darts), repeat=2):
+        # a fold or a push within one face; a push across two faces, or
+        # across its own edge's other side, needs a handle
+        cofacial = y != edge[x] and (x == y or face_of[x] == face_of[y])
+        kind = "R2+" if cofacial else "R2+stab"
+        if kind in kinds:
+            sites += [MoveSite(kind, (x, y), "over"), MoveSite(kind, (x, y), "under")]
+    if "R2+stab" in kinds:
+        ends = ("a_over", "a_under", "b_over", "b_under")
+        for i in range(d.free_loops):
+            sites += [MoveSite("R2+stab", ("loop", i, x), v) for x in out_darts for v in ends]
+            sites += [MoveSite("R2+stab", ("loopself", i), v) for v in ("over", "under")]
+        sites += [MoveSite("R2+stab", ("loops", 0, j), v) for j in range(1, d.free_loops) for v in ends]
+    return sorted(sites, key=MoveSite.sort_key)
+
+
 # crossings each move kind adds
 GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 
 def full_listing(rep: Diagram, max_crossings: int) -> list[tuple[MoveSite, str]]:
     """(site, canonical result) for every site of the moves that fit under
-    the crossing cap, in ``MoveSite.sort_key`` order, repeats included.
-    Where R1+ fits but R2+stab does not, the negative curl on each free
-    loop, which ``enumerate_moves`` lists only beside R2+stab, is added."""
+    the crossing cap, in ``MoveSite.sort_key`` order, repeats included."""
     room = max_crossings - rep.n_vertices
-    sites = enumerate_moves(rep, {kind for kind, g in GROWTH.items() if g <= room})
-    if room == 1:
-        sites += [MoveSite("R1+", ("loop", i), "ro") for i in range(rep.free_loops)]
-        sites.sort(key=MoveSite.sort_key)
+    sites = every_site(rep, {kind for kind, g in GROWTH.items() if g <= room})
     return [(site, canonical_string(_apply_unchecked(rep, site))) for site in sites]
 
 

@@ -1,6 +1,7 @@
+import dataclasses
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from vlink.moves import (
 )
 
 from helpers import all_connected_diagrams, random_diagram, random_diagrams
+from oracles import every_site
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -41,21 +43,33 @@ def test_virtual_trefoil_is_reduced():
 
 
 def test_empty_diagram_r1_plus_counts_loops():
+    # the free loops are interchangeable: loop 0 carries both curls
     for loops in (1, 2, 3):
         d = Diagram((), (), (), (), free_loops=loops)
         sites = enumerate_moves(d, {"R1+"})
-        assert len(sites) == loops
-        assert all(s.where[0] == "loop" for s in sites)
+        assert [(s.where, s.variant) for s in sites] == [(("loop", 0), "lo"), (("loop", 0), "ro")]
 
 
 def test_loop_joins_are_listed_with_loop_0():
-    # joining any two free loops gives one diagram, so only loop 0's pairs are listed
+    # joining any two free loops gives one diagram, so only loops 0 and 1 are joined
     d = Diagram((), (), (), (), free_loops=4)
     joins = [s for s in enumerate_moves(d, {"R2+stab"}) if s.where[0] == "loops"]
-    assert {s.where for s in joins} == {("loops", 0, j) for j in (1, 2, 3)}
-    assert len(joins) == 12
-    with pytest.raises(MoveError):
-        apply_move(d, MoveSite("R2+stab", ("loops", 1, 2), "a_over"))
+    assert {s.where for s in joins} == {("loops", 0, 1)}
+    assert len(joins) == 4
+    for where in (("loops", 1, 2), ("loops", 0, 2)):
+        with pytest.raises(MoveError):
+            apply_move(d, MoveSite("R2+stab", where, "a_over"))
+
+
+def test_listing_does_not_grow_with_free_loops():
+    few, many = (dataclasses.replace(KINK, free_loops=k) for k in (2, 1023))
+    assert enumerate_moves(many, ALL_KINDS) == enumerate_moves(few, ALL_KINDS)
+    src = KINK.inbound.index(False)
+    apply_move(many, MoveSite("R2+stab", ("loop", 0, src), "a_over"))
+    for site in (MoveSite("R1+", ("loop", 1), "lo"), MoveSite("R2+stab", ("loopself", 1), "over"),
+                 MoveSite("R2+stab", ("loop", 1, src), "a_over")):
+        with pytest.raises(MoveError):
+            apply_move(many, site)
 
 
 def test_r1_plus_on_loop_gives_positive_kink():
@@ -146,10 +160,8 @@ def test_stale_site_rejected():
 
 
 def test_negative_loop_curl_applies():
-    # offered only beside R2+stab, and apply_move accepts it on its own
     site = MoveSite("R1+", ("loop", 0), "ro")
-    assert site not in enumerate_moves(UNKNOT, {"R1+"})
-    assert site in enumerate_moves(UNKNOT, {"R1+", "R2+stab"})
+    assert site in enumerate_moves(UNKNOT, {"R1+"})
     assert canonical_string(apply_move(UNKNOT, site)) == "O1- U1-"
     with pytest.raises(MoveError):
         apply_move(UNKNOT, MoveSite("R1+", ("loop", 1), "ro"))
@@ -187,7 +199,8 @@ def test_unknown_kind_rejected():
 
 
 def test_move_results_match_golden_digest():
-    # pins every move result up to isomorphism, by its canonical string:
+    # pins every move site's result, repeats included, up to isomorphism,
+    # by its canonical string:
     # search order follows the sites of each state's representative, not
     # the labels of its results.  The inputs come from to_diagram, so the
     # hashed sites still pin its dart numbering.  The digest was taken
@@ -197,7 +210,7 @@ def test_move_results_match_golden_digest():
     h = hashlib.sha256()
     n_sites = 0
     for d in corpus:
-        for site in enumerate_moves(d, ALL_KINDS):
+        for site in every_site(d, ALL_KINDS):
             h.update(repr((site, canonical_string(_apply_unchecked(d, site)))).encode())
             n_sites += 1
     assert (len(corpus), n_sites) == (324, 94048)
@@ -217,14 +230,14 @@ def _is_push(d: Diagram, site: MoveSite) -> bool:
 @given(st.integers(0, 2**32), st.booleans(),
        st.lists(st.integers(0, 2**16), min_size=1, max_size=4))
 def test_sites_the_search_skips_repeat_earlier_ones(seed, grown, picks):
-    # the three facts vlink.moves._unrepeated relies on, checked here on
-    # the public move functions; an R2 move first adds bigons, and a free
-    # loop attached across an edge makes two on one vertex pair
+    # the three facts enumerate_moves relies on to list each distinct move
+    # once, checked on every site; an R2 move first adds bigons, and a
+    # free loop attached across an edge makes two on one vertex pair
     d = random_diagram(random.Random(seed), max_v=3, max_comps=3, max_loops=3)
-    r2 = enumerate_moves(d, {"R2+", "R2+stab"})
+    r2 = every_site(d, {"R2+", "R2+stab"})
     if grown and r2:
-        d = apply_move(d, r2[picks[0] % len(r2)])
-    sites = enumerate_moves(d, ALL_KINDS)
+        d = _apply_unchecked(d, r2[picks[0] % len(r2)])
+    sites = every_site(d, ALL_KINDS)
     listed = set(sites)
     pushes = [s for s in sites if _is_push(d, s)]
     # pushing x over y is pushing y under x
@@ -233,7 +246,8 @@ def test_sites_the_search_skips_repeat_earlier_ones(seed, grown, picks):
         x, y = site.where
         mirror = MoveSite(site.kind, (y, x), "under" if site.variant == "over" else "over")
         assert mirror in listed
-        assert canonical_string(apply_move(d, site)) == canonical_string(apply_move(d, mirror))
+        assert (canonical_string(_apply_unchecked(d, site))
+                == canonical_string(_apply_unchecked(d, mirror)))
     # every free-loop index, and every R2- bigon on one vertex pair, gives
     # one Diagram value
     same = defaultdict(list)
@@ -244,4 +258,59 @@ def test_sites_the_search_skips_repeat_earlier_ones(seed, grown, picks):
             src = site.where[2:] if site.where[0] == "loop" else ()
             same[(site.kind, site.where[0], src, site.variant)].append(site)
     for group in same.values():
-        assert len({apply_move(d, site) for site in group}) == 1
+        assert len({_apply_unchecked(d, site) for site in group}) == 1
+
+
+def _less_repeats(d: Diagram, sites: list[MoveSite]) -> list[MoveSite]:
+    """``every_site``'s listing less the three repeat rules: the push
+    ``(x, y)`` whose ``y`` sorts before its ``x`` (its mirror), free-loop
+    sites other than loop 0's and the join of loops 0 and 1, and each R2-
+    bigon after the first on its vertex pair."""
+    kept, bigons = [], set()
+    for site in sites:
+        where = site.where
+        if site.kind == "R2-":
+            pair = frozenset(d.vertex_of[x] for x in where)
+            if pair in bigons:
+                continue
+            bigons.add(pair)
+        elif where[0] in ("loop", "loopself", "loops"):
+            if where[1] != 0 or (where[0] == "loops" and where[2] != 1):
+                continue
+        elif _is_push(d, site) and str(where[1]) < str(where[0]):
+            continue
+        kept.append(site)
+    return kept
+
+
+TWO_BIGONS = "O1+ O2- / O3+ O4- / O5- U2- U5- U3+ U4- O6- U6- U1+"
+
+
+def test_enumerate_moves_is_every_site_less_repeats():
+    corpus = random_diagrams(67, 40, max_v=4, max_comps=3, max_loops=3)
+    corpus.append(to_diagram(parse_gauss(TWO_BIGONS)))
+    dropped = Counter()
+    for d in corpus:
+        for kinds in [{kind} for kind in sorted(ALL_KINDS)] + [ALL_KINDS]:
+            assert enumerate_moves(d, kinds) == _less_repeats(d, every_site(d, kinds))
+        # each site left out gives the state of a listed site sorting before it
+        listed = set(enumerate_moves(d, ALL_KINDS))
+        earlier = set()
+        for site in every_site(d, ALL_KINDS):
+            cs = canonical_string(_apply_unchecked(d, site))
+            if site in listed:
+                earlier.add(cs)
+            else:
+                assert cs in earlier, (canonical_string(d), site)
+                dropped[site.kind if isinstance(site.where[0], int) else "loop"] += 1
+    # every rule drops sites here; pinned, so that a rule that stops firing shows
+    assert dropped == {"R2+": 2252, "R2+stab": 2308, "loop": 576, "R2-": 2}
+
+
+def test_r2_minus_lists_the_bigon_whose_site_sorts_first():
+    # face order would pick (8, 15): its least dart comes first
+    d = to_diagram(parse_gauss(TWO_BIGONS))
+    assert every_site(d, {"R2-"}) == [MoveSite("R2-", (11, 12)), MoveSite("R2-", (8, 15))]
+    assert enumerate_moves(d, {"R2-"}) == [MoveSite("R2-", (11, 12))]
+    with pytest.raises(MoveError):
+        apply_move(d, MoveSite("R2-", (8, 15)))

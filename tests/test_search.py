@@ -8,9 +8,8 @@ from vlink.codec import MAX_FREE_LOOPS, GaussCodeError, _from_canonical, parse_g
 from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
-from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked, _site_applies
+from vlink.moves import apply_move, enumerate_moves, _apply_unchecked
 from vlink.search import (
-    _GROWTH,
     SearchBounds,
     SearchError,
     _expand,
@@ -117,8 +116,7 @@ def test_equivalent_kink_unknot_path_replays():
 
 
 def test_equivalent_path_through_negative_loop_curl_replays():
-    # the path starts with the negative curl on the free loop, a site
-    # enumerate_moves lists only beside R2+stab
+    # the path starts with the negative curl on the free loop
     target = to_diagram(parse_gauss("O1+ U1+ O2- U2-"))
     out = equivalent(UNKNOT, target, SearchBounds(4))
     assert out.verdict == "equivalent"
@@ -152,20 +150,6 @@ def test_unknown_is_untruncated_when_an_orbit_closes(monkeypatch):
     assert not out.truncated
 
 
-def test_loop_curl_check_matches_enumeration():
-    checked = 0
-    for d in random_diagrams(29, 40, max_v=3, max_loops=2):
-        if not d.free_loops:
-            continue
-        listed = set(enumerate_moves(d, {"R1+", "R2+stab"}))
-        for i in range(d.free_loops + 1):
-            for variant in ("lo", "lu", "ro", "ru"):
-                site = MoveSite("R1+", ("loop", i), variant)
-                assert _site_applies(d, site) == (site in listed)
-                checked += 1
-    assert checked >= 100
-
-
 def _first_occurrences(pairs) -> list:
     """The (site, state) pairs that give a state no earlier pair gave."""
     seen = set()
@@ -180,24 +164,6 @@ def _check_listing(rep, cap, full) -> int:
     assert all(pair in rest for pair in got)
     assert _first_occurrences(got) == _first_occurrences(full)
     return len(full) - len(got)
-
-
-def test_expand_lists_loop_curls_without_r2stab():
-    # the listing _expand replaced: R2+stab requested one crossing below the
-    # cap only for its negative loop curls, everything else filtered out
-    checked = 0
-    for d in random_diagrams(31, 60, max_v=3, max_loops=2):
-        if not d.free_loops:
-            continue
-        for room in range(4):
-            kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
-            if room >= 1:
-                kinds.add("R2+stab")
-            old = [(site, canonical_string(_apply_unchecked(d, site)))
-                   for site in enumerate_moves(d, kinds) if _GROWTH[site.kind] <= room]
-            _check_listing(d, d.n_vertices + room, old)
-            checked += room == 1
-    assert checked >= 20
 
 
 def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
@@ -215,8 +181,8 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
     for cs, cap in cases:
         rep = _from_canonical(cs)
         skipped += _check_listing(rep, cap, full_listing(rep, cap))
-    # every repeat moves._unrepeated knows of: pinned, so that a site it
-    # stops skipping shows here although the results stay the same
+    # every repeat enumerate_moves leaves out: pinned, so that a site it
+    # starts listing shows here although the results stay the same
     assert skipped == 22906
 
 
