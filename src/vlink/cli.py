@@ -99,10 +99,9 @@ def cmd_genus(args) -> int:
     d = _read_diagram(args.diagram)
     s = build_surface(d)
     k = 0
-    for k, g in enumerate(s.component_genus, start=1):
-        vset = set(s.component_vertices[k - 1])
-        faces = sum(1 for f in s.faces if d.vertex_of[f[0]] in vset)
-        print(f"component {k}: genus {g}, faces {faces}")
+    for k, (g, comp) in enumerate(zip(s.component_genus, s.component_vertices), start=1):
+        # Euler: V - E + F = 2 - 2g with E = 2V
+        print(f"component {k}: genus {g}, faces {2 - 2 * g + len(comp)}")
     for _ in range(s.sphere_components):
         k += 1
         print(f"component {k}: genus 0, faces 2")

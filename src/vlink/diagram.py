@@ -397,17 +397,12 @@ def canonical_string(d: Diagram) -> str:
     crossing name occurs twice in all of them), so a larger prefix never
     completes to a smaller string and the pruning never changes the
     result, which ``tests/oracles.naive_canonical_string`` recomputes by
-    listing every choice.  One pass of :func:`_scan` over ``d``'s fields
-    both validates it, raising :class:`DiagramError` as
-    :func:`require_valid` does, and reads the passes :func:`_label`
-    serializes; none of ``d``'s cached properties is computed, so the
-    cached diagrams hold no tables.  The cache holds up to 2**17
-    diagrams.
+    listing every choice.  :func:`_label` serializes ``d``'s
+    :attr:`~Diagram.passes`, which raises :class:`DiagramError` on an
+    invalid diagram as :func:`require_valid` does.  The cache holds up
+    to 2**17 diagrams.
     """
-    errs, tables = _scan(d)
-    if errs:
-        raise DiagramError("invalid diagram: " + "; ".join(errs))
-    return _label(tables, d.n_vertices, d.free_loops)
+    return _label(d.passes, d.n_vertices, d.free_loops)
 
 
 def _label(tables, n_vertices: int, free_loops: int) -> str:

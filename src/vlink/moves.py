@@ -1,6 +1,7 @@
 """Reidemeister moves on decorated maps, enumerated from local patterns.
 
-Pattern dictionary (faces are orbits of sigma o alpha, see vlink.surface):
+Pattern dictionary (faces are :attr:`Diagram.faces`, the orbits of
+sigma o alpha, which :func:`enumerate_moves` reads in one pass):
 
 * R1-: a monogon face, i.e. an edge joining two rotation-adjacent darts
   of one vertex; one site per vertex carrying such a loop.
@@ -47,7 +48,6 @@ import itertools
 from dataclasses import dataclass
 
 from .diagram import Diagram, DiagramError, _check_passes, _from_passes, require_valid
-from .surface import trace_faces
 
 PLAIN_KINDS = frozenset({"R1+", "R1-", "R2+", "R2-", "R3"})
 ALL_KINDS = PLAIN_KINDS | {"R2+stab"}
@@ -72,52 +72,6 @@ class MoveSite:
 # ---------------------------------------------------------------------------
 
 
-def _face_of(d: Diagram) -> dict[int, int]:
-    return {x: i for i, face in enumerate(trace_faces(d)) for x in face}
-
-
-def _monogon_vertices(d: Diagram) -> list[int]:
-    out = []
-    for v in range(d.n_vertices):
-        if any(d.sigma[d.edge_pair[x]] == x for x in d.rotations[v]):
-            out.append(v)
-    return out
-
-
-def _bigon_faces(d: Diagram) -> list[tuple[int, int]]:
-    """Coherent two-vertex bigon faces, as normalized face dart pairs; of
-    two on one vertex pair, which excise the same crossings, the one whose
-    site sorts first."""
-    out = {}
-    for face in trace_faces(d):
-        if len(face) != 2:
-            continue
-        d1, d2 = face
-        pair = frozenset((d.vertex_of[d1], d.vertex_of[d2]))
-        if len(pair) == 1 or d.is_over(d1) != d.is_over(d.edge_pair[d1]):
-            continue
-        if pair not in out or tuple(map(str, face)) < tuple(map(str, out[pair])):
-            out[pair] = face
-    return list(out.values())
-
-
-def _triangle_faces(d: Diagram) -> list[tuple[int, int, int]]:
-    """Acyclic (R3-admissible) triangular faces on three distinct vertices."""
-    out = []
-    for face in trace_faces(d):
-        if len(face) != 3:
-            continue
-        p, q, r = face
-        corners = {d.vertex_of[d.edge_pair[x]] for x in face}
-        if len(corners) != 3:
-            continue
-        rel = [d.is_over(d.edge_pair[x]) for x in face]
-        if rel[0] == rel[1] == rel[2]:
-            continue  # cyclic heights: the forbidden triangle
-        out.append(face)
-    return out
-
-
 def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
     """Every distinct applicable move of the requested kinds, one site
     each (see the module docstring), sorted by :meth:`MoveSite.sort_key`."""
@@ -130,14 +84,41 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
 
     out_darts = [x for x in range(d.n_darts) if not d.inbound[x]]
 
+    # one pass over the faces: each dart's face, for the pushes, and the
+    # faces of at most three darts the reducing moves and R3 act in
+    vertex_of, edge_pair = d.vertex_of, d.edge_pair
+    face_of = [0] * d.n_darts
+    monogons, bigons, triangles = set(), {}, []
+    for i, face in enumerate(d.faces):
+        for x in face:
+            face_of[x] = i
+        size = len(face)
+        if size > 3:
+            continue
+        corners = frozenset(vertex_of[x] for x in face)
+        if size == 1:
+            monogons |= corners
+        elif len(corners) < size:
+            continue  # a face through one vertex twice
+        elif size == 2:
+            # coherent: the same strand is over at both crossings; of
+            # two on one vertex pair, which excise the same crossings,
+            # the one whose site sorts first
+            if d.is_over(face[0]) == d.is_over(edge_pair[face[0]]) and (
+                    corners not in bigons
+                    or tuple(map(str, face)) < tuple(map(str, bigons[corners]))):
+                bigons[corners] = face
+        elif len({d.is_over(edge_pair[x]) for x in face}) == 2:
+            triangles.append(face)  # acyclic heights; equal ones are forbidden
+
     if "R1-" in kinds:
-        sites.extend(MoveSite("R1-", (v,)) for v in _monogon_vertices(d))
+        sites.extend(MoveSite("R1-", (v,)) for v in monogons)
 
     if "R2-" in kinds:
-        sites.extend(MoveSite("R2-", face) for face in _bigon_faces(d))
+        sites.extend(MoveSite("R2-", face) for face in bigons.values())
 
     if "R3" in kinds:
-        sites.extend(MoveSite("R3", face) for face in _triangle_faces(d))
+        sites.extend(MoveSite("R3", face) for face in triangles)
 
     if "R1+" in kinds:
         for src in out_darts:
@@ -149,7 +130,6 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
             sites.append(MoveSite("R1+", ("loop", 0), "ro"))
 
     if "R2+" in kinds or "R2+stab" in kinds:
-        face_of = _face_of(d)
         for x, y in itertools.product(range(d.n_darts), repeat=2):
             if y == d.edge_pair[x]:
                 # crossing an edge over its own other side needs a handle

@@ -17,8 +17,9 @@ it leaves out repeats the state of a site it lists earlier, so leaving
 it out changes no result.  Successors are labelled from
 ``moves._edit``'s Gauss code, checked by ``diagram._check_passes``,
 without building a ``Diagram``.
-Replay does not use the memo: it re-derives each step from a freshly
-built representative, and builds, validates and labels each result.
+Replay does not use the memo: it builds each step's representative
+afresh, applies the step with ``moves.apply_move``, which checks the
+site against the listing and validates the result, and labels the result.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -33,9 +34,11 @@ import math
 from dataclasses import dataclass
 
 from .codec import _from_canonical
-from .diagram import Diagram, _check_passes, _label, canonical_string, require_valid, stats
+from .diagram import (
+    Diagram, DiagramError, _check_passes, _label, canonical_string, require_valid, stats,
+)
 from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
-from .moves import MoveSite, _apply_unchecked, _edit, enumerate_moves
+from .moves import MoveError, MoveSite, _edit, apply_move, enumerate_moves
 from .surface import genus
 
 DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
@@ -82,7 +85,6 @@ class SearchOutcome:
     distinguishers: tuple[tuple[str, str, str], ...]
     explored: int
     truncated: bool
-    witness: Diagram | None = None
 
 
 @dataclass(frozen=True)
@@ -253,13 +255,15 @@ def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, s
 
 
 def _replay(start_cs: str, path, end_cs: str) -> bool:
+    """True when each step, applied by ``apply_move`` to the state
+    before it, gives the state it names, and the last is ``end_cs``."""
     cs = start_cs
     for site, expected in path:
-        rep = _from_canonical(cs)
-        if site not in enumerate_moves(rep, {site.kind}):
+        try:
+            result = apply_move(_from_canonical(cs), site)
+        except (MoveError, DiagramError):
             return False
-        result = _apply_unchecked(rep, site)
-        if not result.is_valid or canonical_string(result) != expected:
+        if canonical_string(result) != expected:
             return False
         cs = expected
     return cs == end_cs

@@ -8,11 +8,12 @@ from vlink.codec import MAX_FREE_LOOPS, GaussCodeError, _from_canonical, parse_g
 from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, stats
 from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
 import vlink.search
-from vlink.moves import apply_move, enumerate_moves, _apply_unchecked
+from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked
 from vlink.search import (
     SearchBounds,
     SearchError,
     _expand,
+    _replay,
     _successors,
     classify_corpus,
     equivalent,
@@ -314,6 +315,36 @@ def test_unreplayable_path_raises(monkeypatch):
     monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
     with pytest.raises(SearchError, match="failed to replay"):
         equivalent(KINK, UNKNOT, SearchBounds(max_crossings=3, max_states=4000))
+
+
+def test_replay_rejects_steps_apply_move_rejects(monkeypatch):
+    # each step goes through apply_move: a step it rejects fails the
+    # replay, without raising, where the step it repeats replays
+    start = canonical_string(TREFOIL)
+    rep = _from_canonical(start)
+    push = next(s for s in enumerate_moves(rep, {"R2+"}) if len(set(s.where)) == 2)
+    x, y = push.where
+    mirror = MoveSite("R2+", (y, x), "under" if push.variant == "over" else "over")
+    after = canonical_string(_apply_unchecked(rep, push))
+    assert canonical_string(_apply_unchecked(rep, mirror)) == after
+    assert _replay(start, [(push, after)], after)
+    assert not _replay(start, [(mirror, after)], after)
+
+    kink, unknot = canonical_string(KINK), canonical_string(UNKNOT)
+    assert _replay(kink, [(MoveSite("R1-", (0,)), unknot)], unknot)
+    stale = MoveSite("R1-", (1,))  # the kink has one crossing
+    assert not _replay(kink, [(stale, unknot)], unknot)
+
+    loops = canonical_string(Diagram((), (), (), (), free_loops=2))
+    curl = MoveSite("R1+", ("loop", 0), "lo")
+    after = canonical_string(apply_move(_from_canonical(loops), curl))
+    assert _replay(loops, [(curl, after)], after)
+    assert not _replay(loops, [(MoveSite("R1+", ("loop", 1), "lo"), after)], after)
+
+    # so does a result apply_move finds invalid
+    broken = Diagram(KINK.rotations, KINK.edge_pair, ((0, 1),), KINK.inbound, 0)
+    monkeypatch.setattr(vlink.moves, "_apply_unchecked", lambda d, s: broken)
+    assert not _replay(kink, [(MoveSite("R1-", (0,)), unknot)], unknot)
 
 
 def test_broken_edit_raises_before_it_is_labelled(monkeypatch):

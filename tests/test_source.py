@@ -67,3 +67,13 @@ def test_moves_and_search_build_diagrams_only_from_gauss_codes():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_each_layer_reads_what_a_lower_layer_owns():
+    # moves reads Diagram.faces, not vlink.surface; search replays each
+    # step through moves.apply_move, not the unchecked builder
+    tree = ast.parse((SRC / "moves.py").read_text(), filename="moves.py")
+    imported = [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for name in (node.module, *(alias.name for alias in node.names))]
+    assert "diagram" in imported and "surface" not in imported
+    assert "_apply_unchecked" not in (SRC / "search.py").read_text()
