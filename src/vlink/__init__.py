@@ -50,8 +50,6 @@ from .search import (
 )
 from .surface import (
     GenusResult,
-    RibbonSurface,
-    build_surface,
     complexity_measure,
     genus,
     is_classical,
@@ -65,7 +63,7 @@ __all__ = [
     "parse_gauss", "emit_gauss", "to_diagram", "from_diagram",
     "diagram_to_json", "diagram_from_json",
     "validate", "stats", "canonical_string", "mirror", "disjoint_union",
-    "RibbonSurface", "GenusResult", "build_surface", "trace_faces",
+    "GenusResult", "trace_faces",
     "genus", "complexity_measure", "split_components", "is_classical",
     "LaurentPoly", "Quandle", "StateSumLimitError",
     "bracket", "f_poly", "quandle_colorings", "check_quandle",

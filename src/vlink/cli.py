@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .codec import emit_gauss, from_diagram, parse_gauss, to_diagram
@@ -31,7 +32,7 @@ from .search import (
     equivalent,
     minimize,
 )
-from .surface import build_surface
+from .surface import genus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,15 +98,13 @@ def _add_search_args(sub) -> None:
 
 def cmd_genus(args) -> int:
     d = _read_diagram(args.diagram)
-    s = build_surface(d)
-    k = 0
-    for k, (g, comp) in enumerate(zip(s.component_genus, s.component_vertices), start=1):
+    res = genus(d)
+    # free loops follow the graph components, each a sphere with V = 0
+    for k, (g, comp) in enumerate(
+            zip_longest(res.per_component, d.graph_components, fillvalue=()), start=1):
         # Euler: V - E + F = 2 - 2g with E = 2V
         print(f"component {k}: genus {g}, faces {2 - 2 * g + len(comp)}")
-    for _ in range(s.sphere_components):
-        k += 1
-        print(f"component {k}: genus 0, faces 2")
-    print(f"total genus {sum(s.component_genus)}")
+    print(f"total genus {res.total}")
     return 0
 
 

@@ -22,10 +22,11 @@ over-in dart counterclockwise, -1 when it immediately precedes it.
 
 Diagrams are immutable values; arbitrary field values may represent
 broken maps, which :func:`validate` reports as data.  One scan of the
-fields, cached on the diagram, finds those violations and reads the
-signed Gauss code of a valid diagram (:attr:`Diagram.passes`).  Every
-diagram built from a code, parsed or a move result, goes through the
-one map builder :func:`_from_passes`.
+fields, cached on the diagram, finds those violations and, on a valid
+diagram, reads the signed Gauss code (:attr:`Diagram.passes`) and builds
+every per-dart table: ``vertex_of``, ``sigma``, ``opposite`` and each
+in-dart's place in the code.  Every diagram built from a code, parsed
+or a move result, goes through the one map builder :func:`_from_passes`.
 """
 
 from __future__ import annotations
@@ -55,60 +56,47 @@ class Diagram:
         return 4 * len(self.rotations)
 
     @cached_property
-    def vertex_of(self) -> tuple[int, ...]:
-        """Map dart -> vertex, from the rotation partition."""
-        n = self.n_darts
-        out = [-1] * n
-        for v, rot in enumerate(self.rotations):
-            for d in rot:
-                if 0 <= d < n:
-                    out[d] = v
-        return tuple(out)
-
-    @cached_property
-    def sigma(self) -> tuple[int, ...]:
-        """Counterclockwise next dart at the same vertex."""
-        n = self.n_darts
-        out = [-1] * n
-        for rot in self.rotations:
-            for i, d in enumerate(rot):
-                if 0 <= d < n:
-                    out[d] = rot[(i + 1) % 4]
-        return tuple(out)
-
-    @cached_property
-    def opposite(self) -> tuple[int, ...]:
-        sigma, n = self.sigma, self.n_darts
-        return tuple(sigma[s] if 0 <= (s := sigma[d]) < n else -1 for d in range(n))
-
-    @cached_property
     def _scanned(self):
         errs, tables = _scan(self)
-        return tuple(errs), tuple(tables)
+        return tuple(errs), tables
 
     @property
     def violations(self) -> tuple[str, ...]:
         return self._scanned[0]
 
     @property
-    def passes(self) -> tuple[tuple[tuple[int, str, str], ...], ...]:
-        """Per strand circuit, one ``(vertex, role, sign)`` triple per pass
-        in strand order, as :func:`_scan` reads them; raises
-        :class:`DiagramError` as :func:`require_valid` does."""
+    def _tables(self):
+        """The tables :func:`_scan` read, after :func:`require_valid`."""
         require_valid(self)
         return self._scanned[1]
 
     @cached_property
+    def passes(self) -> tuple[tuple[tuple[int, str, str], ...], ...]:
+        """Per strand circuit, one ``(vertex, role, sign)`` triple per pass
+        in strand order.  This and each dart table below raise
+        :class:`DiagramError` on an invalid diagram, as :func:`require_valid`
+        does."""
+        return self._tables[0]
+
+    @cached_property
+    def vertex_of(self) -> tuple[int, ...]:
+        """Map dart -> vertex, from the rotation partition."""
+        return self._tables[1]
+
+    @cached_property
+    def sigma(self) -> tuple[int, ...]:
+        """Counterclockwise next dart at the same vertex."""
+        return self._tables[2]
+
+    @cached_property
+    def opposite(self) -> tuple[int, ...]:
+        """The dart across the vertex: sigma twice."""
+        return self._tables[3]
+
+    @cached_property
     def _slots(self) -> dict[int, tuple[int, int]]:
         """Dart -> (circuit, position) in :attr:`passes` of the pass its edge enters."""
-        slots = {}
-        for ci, row in enumerate(self.passes):
-            v, role, _ = row[0]
-            x = self.over_in(v) if role == "O" else self.under_in(v)
-            for i in range(len(row)):
-                slots[x] = slots[self.edge_pair[x]] = (ci, i)
-                x = self.edge_pair[self.opposite[x]]
-        return slots
+        return self._tables[4]
 
     @property
     def is_valid(self) -> bool:
@@ -131,8 +119,9 @@ class Diagram:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Boundary walks of the ribbon neighbourhood: orbits of sigma o alpha.
 
-        Each face is rotated to start at its least dart; faces are sorted
-        by that dart.  Free loops contribute no faces.
+        Each face starts at its least dart, and faces are sorted by that
+        dart: a walk starts at the least dart on no earlier face, and every
+        smaller dart lies on an earlier face.  Free loops contribute no faces.
         """
         sigma, edge_pair = self.sigma, self.edge_pair
         seen = set()
@@ -146,9 +135,7 @@ class Diagram:
                 seen.add(x)
                 walk.append(x)
                 x = sigma[edge_pair[x]]
-            k = walk.index(min(walk))
-            faces.append(tuple(walk[k:] + walk[:k]))
-        faces.sort(key=lambda f: f[0])
+            faces.append(tuple(walk))
         return tuple(faces)
 
     @cached_property
@@ -184,20 +171,23 @@ class DiagramStats:
     writhe: int
 
 
-def _scan(d: Diagram) -> tuple[list[str], list[tuple[tuple[int, str, str], ...]]]:
-    """The invariant violations of ``d`` and, when there are none, per
-    strand circuit one ``(vertex, role, sign)`` triple per pass, role
-    ``"O"``/``"U"`` and sign ``"+"``/``"-"``.
+def _scan(d: Diagram) -> tuple[list[str], tuple | None]:
+    """The invariant violations of ``d`` and, when there are none, its
+    tables: the passes, ``vertex_of``, ``sigma``, ``opposite`` and the
+    slots of :class:`Diagram`.
 
-    One pass over the raw fields checks every condition and reads the
-    circuits in order of their least in-darts: each starts at the least
-    in-dart not on an earlier one.  Free loops have no circuit.  The
-    over-in and under-in darts of a vertex are its circuit entries, and
-    the sign is ``+`` when the dart counterclockwise after the over-in is
-    inbound.  A message is formatted only for a condition that fails; a
-    failed length check ends the scan, a broken rotation partition ends
-    it after every rotation is read, and otherwise it reports every edge
-    and vertex.
+    The passes are per strand circuit one ``(vertex, role, sign)`` triple
+    per pass, role ``"O"``/``"U"`` and sign ``"+"``/``"-"``; the slots map
+    each in-dart, and its edge partner, to the (circuit, position) of its
+    pass.  One pass over the raw fields checks every condition, fills the
+    per-dart tables from the rotations and reads the circuits in order of
+    their least in-darts: each starts at the least in-dart not on an
+    earlier one.  Free loops have no circuit.  The over-in and under-in
+    darts of a vertex are its circuit entries, and the sign is ``+`` when
+    the dart counterclockwise after the over-in is inbound.  A message is
+    formatted only for a condition that fails; a failed length check ends
+    the scan, a broken rotation partition ends it after every rotation is
+    read, and otherwise it reports every edge and vertex.
     """
     errs: list[str] = []
     rotations, edge_pair, over_pair, inbound = d.rotations, d.edge_pair, d.over_pair, d.inbound
@@ -212,10 +202,10 @@ def _scan(d: Diagram) -> tuple[list[str], list[tuple[tuple[int, str, str], ...]]
     if len(over_pair) != nv:
         errs.append("strand decoration does not cover every vertex")
     if errs:
-        return errs, []
+        return errs, None
 
     owner = [-1] * n  # dart -> the vertex whose rotation lists it
-    opposite = [0] * n
+    sigma, opposite = [0] * n, [0] * n
     for v, rot in enumerate(rotations):
         if len(rot) != 4:
             errs.append(f"rotation of vertex {v} has {len(rot)} darts, expected 4")
@@ -228,12 +218,13 @@ def _scan(d: Diagram) -> tuple[list[str], list[tuple[tuple[int, str, str], ...]]
                 owner[x] = v
         if not errs:
             r0, r1, r2, r3 = rot
+            sigma[r0], sigma[r1], sigma[r2], sigma[r3] = r1, r2, r3, r0
             opposite[r0], opposite[r1], opposite[r2], opposite[r3] = r2, r3, r0, r1
     if errs:  # without them the 4 * nv darts named are distinct and all in range
         missing = [x for x in range(n) if owner[x] < 0]
         if missing:
             errs.append(f"darts {missing} missing from every rotation")
-        return errs, []
+        return errs, None
 
     for x, y in enumerate(edge_pair):
         if not (0 <= y < n):
@@ -268,9 +259,9 @@ def _scan(d: Diagram) -> tuple[list[str], list[tuple[tuple[int, str, str], ...]]
         else:
             entry[o], entry[opposite[after]] = (v, "O", "-"), (v, "U", "-")
     if errs:
-        return errs, []
+        return errs, None
 
-    tables = []
+    passes, slots = [], {}
     for start in range(n):
         if entry[start] is None:
             continue
@@ -278,10 +269,11 @@ def _scan(d: Diagram) -> tuple[list[str], list[tuple[tuple[int, str, str], ...]]
         x = start
         while (e := entry[x]) is not None:
             entry[x] = None
+            slots[x] = slots[edge_pair[x]] = (len(passes), len(row))
             row.append(e)
             x = edge_pair[opposite[x]]
-        tables.append(tuple(row))
-    return errs, tables
+        passes.append(tuple(row))
+    return errs, (tuple(passes), tuple(owner), tuple(sigma), tuple(opposite), slots)
 
 
 def validate(d: Diagram) -> list[str]:

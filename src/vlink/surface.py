@@ -3,11 +3,12 @@
 Thickening the 4-valent graph along its rotation system gives a ribbon
 surface; capping every boundary circle with a disk yields the closed
 oriented surface the projection lives on.  Faces are the orbits of the
-permutation sigma o alpha on darts, so every face is a disk and the
-surface is the minimal one for the given diagram.  Each free loop lives
-on its own sphere (two disk faces, no darts).  The faces are traced once
-per diagram object and kept on it (``Diagram.faces``), beside its graph
-components.
+permutation sigma o alpha on darts (``Diagram.faces``, traced once per
+diagram object and kept on it), so every face is a disk and the surface
+is the minimal one for the given diagram.  :func:`genus` counts each
+graph component's faces in one pass over them and reads its genus from
+Euler's relation; each free loop lives on its own sphere (two disk
+faces, no darts).
 """
 
 from __future__ import annotations
@@ -15,18 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import Diagram, DiagramError, relabel, require_valid
-
-
-@dataclass(frozen=True)
-class RibbonSurface:
-    faces: tuple[tuple[int, ...], ...]
-    component_genus: tuple[int, ...]
-    component_vertices: tuple[tuple[int, ...], ...]
-    sphere_components: int
-
-    @property
-    def total_genus(self) -> int:
-        return sum(self.component_genus)
 
 
 @dataclass(frozen=True)
@@ -42,33 +31,30 @@ def trace_faces(d: Diagram) -> list[tuple[int, ...]]:
     return list(d.faces)
 
 
-def build_surface(d: Diagram) -> RibbonSurface:
+def genus(d: Diagram) -> GenusResult:
+    """Per-component genus (graph components first, then one 0 per free loop).
+
+    A component of V crossings has E = 2V edges and F faces, so Euler's
+    relation V - E + F = 2 - 2g gives g = 1 - (F - V)/2.
+    """
     require_valid(d)
-    faces = d.faces
     comps = d.graph_components
-    genus = []
-    for comp in comps:
-        vset = set(comp)
-        v = len(comp)
-        e = 2 * v
-        f = sum(1 for face in faces if d.vertex_of[face[0]] in vset)
-        chi = v - e + f
+    comp_of = [0] * d.n_vertices
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    n_faces = [0] * len(comps)
+    vertex_of = d.vertex_of
+    for face in d.faces:
+        n_faces[comp_of[vertex_of[face[0]]]] += 1
+    per = []
+    for comp, f in zip(comps, n_faces):
+        chi = f - len(comp)
         if chi % 2:
             raise DiagramError(f"odd Euler characteristic {chi} on component {comp}")
-        genus.append((2 - chi) // 2)
-    return RibbonSurface(
-        faces=faces,
-        component_genus=tuple(genus),
-        component_vertices=comps,
-        sphere_components=d.free_loops,
-    )
-
-
-def genus(d: Diagram) -> GenusResult:
-    """Per-component genus (graph components first, then one 0 per free loop)."""
-    s = build_surface(d)
-    per = s.component_genus + (0,) * s.sphere_components
-    return GenusResult(per_component=per, total=sum(per))
+        per.append(1 - chi // 2)
+    per += [0] * d.free_loops
+    return GenusResult(per_component=tuple(per), total=sum(per))
 
 
 def complexity_measure(d: Diagram) -> int:

@@ -20,7 +20,7 @@ from vlink.invariants import (
 )
 from vlink.moves import ALL_KINDS, PLAIN_KINDS, _apply_unchecked, enumerate_moves
 from vlink.search import SearchBounds, equivalent, invariant_table, minimize, orbit
-from vlink.surface import build_surface, genus
+from vlink.surface import genus
 
 from helpers import all_connected_diagrams, random_diagram
 from oracles import every_site, naive_bracket, naive_faces
@@ -94,12 +94,15 @@ def test_criterion_2_euler_identity(random_corpus):
     """V - E + F = 2 - 2g per surface component, exactly."""
     checked = 0
     for d in random_corpus:
-        s = build_surface(d)
-        for comp, g in zip(s.component_vertices, s.component_genus):
+        faces = naive_faces(d)
+        vertex = {x: v for v, rot in enumerate(d.rotations) for x in rot}
+        per = genus(d).per_component
+        assert per[len(d.graph_components):] == (0,) * d.free_loops
+        for comp, g in zip(d.graph_components, per):
             vset = set(comp)
             v = len(comp)
             e = 2 * v
-            f = sum(1 for face in s.faces if d.vertex_of[face[0]] in vset)
+            f = sum(1 for face in faces if vertex[face[0]] in vset)
             assert v - e + f == 2 - 2 * g
             checked += 1
     print(f"\ncriterion 2: PASS - Euler identity exact on {checked} surface components")

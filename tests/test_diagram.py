@@ -24,9 +24,12 @@ from vlink.diagram import (
 from vlink.invariants import dihedral_quandle, quandle_colorings
 from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
 from vlink.search import SearchBounds, orbit
+from vlink.surface import genus
 
 from helpers import all_connected_diagrams, random_diagram, random_diagrams
 from oracles import (
+    _circuits,
+    _sigma,
     find_isomorphism,
     naive_canonical_string,
     naive_serialize_default,
@@ -209,6 +212,54 @@ def test_check_passes_counts_the_crossings_of_every_valid_code():
     for d in [EMPTY, UNKNOT, KINK, VT] + random_diagrams(17, 40, max_v=5, max_loops=2):
         assert _check_passes(d.passes) == d.n_vertices
         assert _from_passes(d.passes, d.free_loops) == d  # to_diagram's layout
+
+
+def _darts_renamed(d: Diagram, rng: random.Random) -> Diagram:
+    """``d`` with its darts renamed by a random permutation, so that a
+    vertex no longer owns four consecutive darts."""
+    n = d.n_darts
+    new = list(range(n))
+    rng.shuffle(new)
+    edge, inbound = [0] * n, [False] * n
+    for x in range(n):
+        edge[new[x]] = new[d.edge_pair[x]]
+        inbound[new[x]] = d.inbound[x]
+    return Diagram(tuple(tuple(new[x] for x in rot) for rot in d.rotations), tuple(edge),
+                   tuple(tuple(new[x] for x in pair) for pair in d.over_pair),
+                   tuple(inbound), d.free_loops)
+
+
+def test_dart_tables_match_raw_fields():
+    rng = random.Random(61)
+    corpus = (all_connected_diagrams(3)
+              + random_diagrams(43, 900, max_v=4, max_comps=3, max_loops=3)
+              + random_diagrams(7, 150, max_v=9, max_comps=3, max_loops=2))
+    corpus += [_darts_renamed(d, rng) for d in corpus]
+    for d in corpus:
+        darts = range(d.n_darts)
+        owner = {x: v for v, rot in enumerate(d.rotations) for x in rot}
+        sigma = _sigma(d)
+        slots = {}
+        for ci, circuit in enumerate(_circuits(d)):
+            for i, x in enumerate(circuit):
+                slots[x] = slots[d.edge_pair[x]] = (ci, i)
+        assert d.vertex_of == tuple(owner[x] for x in darts)
+        assert d.sigma == tuple(sigma[x] for x in darts)
+        assert d.opposite == tuple(sigma[sigma[x]] for x in darts)
+        assert d._slots == slots
+    assert len(corpus) == 2 * (851 + 900 + 150)
+
+
+def test_tables_of_an_invalid_diagram_raise():
+    # pass (0, 2) has two inbound darts; the rotation partition is sound
+    broken = Diagram(((0, 1, 2, 3),), (1, 0, 3, 2), ((0, 2),), (True, False, True, False))
+    message = "invalid diagram: " + "; ".join(validate(broken))
+    for name in ("passes", "vertex_of", "sigma", "opposite", "_slots", "faces"):
+        with pytest.raises(DiagramError) as info:
+            getattr(broken, name)
+        assert str(info.value) == message, name
+    with pytest.raises(DiagramError, match="free loop count is negative"):
+        genus(Diagram((), (), (), (), free_loops=-1))
 
 
 def test_canonical_cache_is_bounded():

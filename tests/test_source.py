@@ -69,6 +69,21 @@ def test_moves_and_search_build_diagrams_only_from_gauss_codes():
     assert found == []
 
 
+def test_dart_tables_come_from_the_one_scan():
+    # vertex_of, sigma, opposite and _slots read diagram._scan's tables and
+    # build none themselves; genus counts faces without a surface record
+    tree = ast.parse((SRC / "diagram.py").read_text(), filename="diagram.py")
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Diagram")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = [name for name in ("vertex_of", "sigma", "opposite", "_slots")
+             if any(isinstance(node, loops) for node in ast.walk(methods[name]))]
+    assert found == []
+    surface = importlib.import_module("vlink.surface")
+    assert not hasattr(surface, "build_surface") and not hasattr(surface, "RibbonSurface")
+
+
 def test_each_layer_reads_what_a_lower_layer_owns():
     # moves reads Diagram.faces, not vlink.surface; search replays each
     # step through moves.apply_move, not the unchecked builder

@@ -5,7 +5,6 @@ import pytest
 from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, disjoint_union, mirror
 from vlink.surface import (
-    build_surface,
     complexity_measure,
     genus,
     is_classical,
@@ -24,8 +23,8 @@ def test_face_counts():
     assert len(trace_faces(TREFOIL)) == 5
     assert len(trace_faces(VT)) == 2
     assert trace_faces(UNKNOT) == []
-    s = build_surface(UNKNOT)
-    assert s.sphere_components == 1 and s.component_genus == ()
+    assert genus(UNKNOT).per_component == (0,)
+    assert UNKNOT.graph_components == ()
 
 
 def test_each_dart_on_exactly_one_face():
@@ -51,11 +50,14 @@ def test_genus_facts():
 
 def test_euler_identity_per_component():
     for d in random_diagrams(8, 120, max_v=7):
-        s = build_surface(d)
-        for comp, g in zip(s.component_vertices, s.component_genus):
+        faces = naive_faces(d)
+        vertex = {x: v for v, rot in enumerate(d.rotations) for x in rot}
+        per = genus(d).per_component
+        assert per[len(d.graph_components):] == (0,) * d.free_loops
+        for comp, g in zip(d.graph_components, per):
             vset = set(comp)
             v = len(comp)
-            f = sum(1 for face in s.faces if d.vertex_of[face[0]] in vset)
+            f = sum(1 for face in faces if vertex[face[0]] in vset)
             assert v - 2 * v + f == 2 - 2 * g
             assert g >= 0
 
@@ -89,13 +91,13 @@ def test_complexity_measure_rejects_fewer_links_than_surfaces():
         complexity_measure(d)
 
 
-def test_build_surface_rejects_odd_euler_characteristic():
+def test_genus_rejects_odd_euler_characteristic():
     class LostFace(Diagram):
         faces = tuple(trace_faces(TREFOIL)[:-1])
 
     d = LostFace(TREFOIL.rotations, TREFOIL.edge_pair, TREFOIL.over_pair, TREFOIL.inbound)
     with pytest.raises(DiagramError, match="odd Euler characteristic 1"):
-        build_surface(d)
+        genus(d)
 
 
 def test_split_components():
