@@ -27,12 +27,19 @@ diagram, reads the signed Gauss code (:attr:`Diagram.passes`) and builds
 every per-dart table: ``vertex_of``, ``sigma``, ``opposite`` and each
 in-dart's place in the code.  Every diagram built from a code, parsed
 or a move result, goes through the one map builder :func:`_from_passes`.
+
+:func:`canonical_string` is the least signed Gauss string of a diagram.
+Every such string opens with a role, the crossing name 1 and a sign,
+and a crossing's over pass carries its sign, so the least string opens
+with ``O1+`` when some crossing is positive and with ``O1-`` otherwise:
+only the over passes of the least sign are tried as its first pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 
 class DiagramError(ValueError):
@@ -124,15 +131,15 @@ class Diagram:
         smaller dart lies on an earlier face.  Free loops contribute no faces.
         """
         sigma, edge_pair = self.sigma, self.edge_pair
-        seen = set()
+        seen = [False] * self.n_darts
         faces = []
         for start in range(self.n_darts):
-            if start in seen:
+            if seen[start]:
                 continue
             walk = []
             x = start
-            while x not in seen:
-                seen.add(x)
+            while not seen[x]:
+                seen[x] = True
                 walk.append(x)
                 x = sigma[edge_pair[x]]
             faces.append(tuple(walk))
@@ -140,21 +147,23 @@ class Diagram:
 
     @cached_property
     def graph_components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the underlying graph, as vertex tuples."""
+        """Connected components of the underlying graph, as sorted vertex
+        tuples in order of their least vertices."""
+        rotations, vertex_of, edge_pair = self.rotations, self.vertex_of, self.edge_pair
+        seen = [False] * self.n_vertices
         comps = []
-        unseen = set(range(self.n_vertices))
-        while unseen:
-            root = min(unseen)
-            stack, comp = [root], set()
+        for root in range(self.n_vertices):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack, comp = [root], [root]
             while stack:
-                v = stack.pop()
-                if v not in comp:
-                    comp.add(v)
-                    for d in self.rotations[v]:
-                        w = self.vertex_of[self.edge_pair[d]]
-                        if w not in comp:
-                            stack.append(w)
-            unseen -= comp
+                for x in rotations[stack.pop()]:
+                    w = vertex_of[edge_pair[x]]
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+                        comp.append(w)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
@@ -366,13 +375,20 @@ def _check_passes(rows) -> int:
     """The crossing count of per-circuit ``(vertex, role, sign)`` rows;
     raises :class:`DiagramError` unless no row is empty and vertices
     ``0 .. n-1`` each occur once as O and once as U, with one sign."""
-    flat = sorted(p for row in rows for p in row)
-    n = len(flat) // 2
-    if not (all(rows) and 2 * n == len(flat) and all(
-            o == (v, "O", o[2]) and u == (v, "U", o[2]) and o[2] in ("+", "-")
-            for v, o, u in zip(range(n), flat[::2], flat[1::2]))):
-        raise DiagramError(f"invalid signed Gauss code: {rows!r}")
-    return n
+    total = sum(map(len, rows))
+    n = total // 2
+    over, under = [None] * n, [None] * n  # per vertex, the sign at its O and at its U pass
+    for v, role, sgn in chain.from_iterable(rows):
+        side = over if role == "O" else under if role == "U" else None
+        if side is None or not 0 <= v < n or side[v] is not None or sgn not in ("+", "-"):
+            break
+        side[v] = sgn
+    else:
+        # the 2n passes filled the 2n slots once each, so over == under
+        # says that each vertex has one sign
+        if all(rows) and 2 * n == total and over == under:
+            return n
+    raise DiagramError(f"invalid signed Gauss code: {rows!r}")
 
 
 @lru_cache(maxsize=2**17)
@@ -389,7 +405,11 @@ def canonical_string(d: Diagram) -> str:
     crossing name occurs twice in all of them), so a larger prefix never
     completes to a smaller string and the pruning never changes the
     result, which ``tests/oracles.naive_canonical_string`` recomputes by
-    listing every choice.  :func:`_label` serializes ``d``'s
+    listing every choice.  Only the over passes of the least sign open a
+    first circuit: a serialization's first piece is a role, the name 1
+    and a sign, ``"O1+" < "O1-" < "U1+" < "U1-"``, and each crossing's
+    over pass carries that crossing's sign, so a start at any other pass
+    opens with a larger piece.  :func:`_label` serializes ``d``'s
     :attr:`~Diagram.passes`, which raises :class:`DiagramError` on an
     invalid diagram as :func:`require_valid` does.  The cache holds up
     to 2**17 diagrams.
@@ -403,54 +423,51 @@ def _label(tables, n_vertices: int, free_loops: int) -> str:
     loops = " / ".join("*" * free_loops)
     if not tables:
         return loops
-    labels = [str(i) for i in range(1, n_vertices + 1)]
-    name_of: list[str | None] = [None] * n_vertices
-    named_order = [0] * n_vertices
-    parts: list[str] = []
+    labels = list(map(str, range(1, n_vertices + 1)))
+    # Every serialization opens with a role, the name 1 and a sign, and
+    # "O1+" < "O1-" < "U1+" < "U1-".  A crossing's over pass carries its
+    # sign, so the least opening is "O1+" exactly when some crossing is
+    # positive: only over passes of the least sign can open the string.
+    openers = [[i for i, p in enumerate(row) if p[1] == "O" and p[2] == "+"] for row in tables]
+    if not any(openers):
+        openers = [[i for i, p in enumerate(row) if p[1] == "O"] for row in tables]
     best = None
 
-    def extend(remaining: list[int], pos: int, tied: bool, n_named: int) -> None:
-        # parts is a prefix of length pos; tied means it equals best[:pos],
-        # otherwise it is smaller or there is no best yet
+    def extend(remaining: list[int], prefix: str, names: dict[int, str], tied: bool) -> None:
+        # prefix serializes the circuits placed so far, whose crossings
+        # names holds; tied means it equals best[:len(prefix)], otherwise
+        # it is smaller or there is no best yet
         nonlocal best
-        if not remaining:
-            if not tied:
-                best = "".join(parts)
-            return
-        n_parts = len(parts)
-        lead = " / " if n_parts else ""
+        lead = " / " if prefix else ""
         for k, ci in enumerate(remaining):
             rest = remaining[:k] + remaining[k + 1:]
             row = tables[ci]
             size = len(row)
             cycle = row + row
-            for start in range(size):
-                named, at, same, sep = n_named, pos, tied, lead
-                for j in range(start, start + size):
-                    v, role, sgn = cycle[j]
-                    label = name_of[v]
+            for start in range(size) if prefix else openers[ci]:
+                named = names.copy()
+                text, same, sep = prefix, tied, lead
+                for v, role, sgn in cycle[start:start + size]:
+                    label = named.get(v)
                     if label is None:
-                        label = name_of[v] = labels[named]
-                        named_order[named] = v
-                        named += 1
+                        label = named[v] = labels[len(named)]
                     piece = f"{sep}{role}{label}{sgn}"
                     sep = " "
-                    if same and not best.startswith(piece, at):
-                        if piece > best[at:at + len(piece)]:
+                    if same and not best.startswith(piece, len(text)):
+                        if piece > best[len(text):len(text) + len(piece)]:
                             break
                         same = False
-                    at += len(piece)
-                    parts.append(piece)
+                    text += piece
                 else:
                     before = best
-                    extend(rest, at, same, named)
+                    if rest:
+                        extend(rest, text, named, same)
+                    elif not same:
+                        best = text
                     if best is not before:
                         tied = True  # the new best extends this node's prefix
-                del parts[n_parts:]
-                for i in range(n_named, named):
-                    name_of[named_order[i]] = None
 
-    extend(list(range(len(tables))), 0, False, 0)
+    extend(list(range(len(tables))), "", {}, False)
     del extend  # the closure refers to itself; free it without the cycle collector
     return f"{best} / {loops}" if loops else best
 

@@ -172,8 +172,10 @@ _E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
 
 def _excise(d: Diagram, removed: set[int]):
     """Drop the passes of the given vertices and renumber the rest in
-    order; circuits left with no pass become free loops."""
-    label = [v - sum(r < v for r in removed) for v in range(d.n_vertices)]
+    order, each kept vertex by the count of kept vertices before it;
+    circuits left with no pass become free loops."""
+    keep = (v not in removed for v in range(d.n_vertices))
+    label = list(itertools.accumulate(keep, initial=0))
     rows = [[(label[v], role, sgn) for v, role, sgn in row if v not in removed]
             for row in d.passes]
     kept = [row for row in rows if row]

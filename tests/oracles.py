@@ -1,10 +1,12 @@
 """Independent brute-force oracles the production code is checked against.
 
 Everything here recomputes from first principles: full 2^V state
-enumeration for the bracket, raw permutation orbits for faces, an
-explicit decorated-map isomorphism search, exhaustive arc-coloring
-scans, ranks over GF(p) for Alexander-quandle colorings, and canonical
-strings emitted in full for every component order and start.  Strand
+enumeration for the bracket, raw permutation orbits for faces, a
+union-find over the raw edges for graph components, an explicit
+decorated-map isomorphism search, exhaustive arc-coloring scans, ranks
+over GF(p) for Alexander-quandle colorings, canonical strings emitted
+in full for every component order and start, and a signed Gauss code
+check that sorts every pass.  Strand
 circuits, crossing signs and arcs are read from a diagram's raw fields
 here, not from ``Diagram.passes``.  None of it shares code paths with
 the production algorithms, except that the search oracles apply the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import Diagram, canonical_string
+from vlink.diagram import Diagram, DiagramError, canonical_string
 from vlink.invariants import DELTA, LaurentPoly, Quandle
 from vlink.moves import MoveSite, _apply_unchecked
 from vlink.surface import genus
@@ -98,6 +100,40 @@ def naive_faces(d: Diagram) -> list[tuple[int, ...]]:
     return faces
 
 
+def naive_graph_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """Vertex classes of a union-find that joins the vertices at the two
+    ends of every edge, read from the raw rotations and edge pairing; each
+    class sorted, classes in order of their least vertices."""
+    parent = list(range(d.n_vertices))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    owner = {x: v for v, rot in enumerate(d.rotations) for x in rot}
+    for x, y in enumerate(d.edge_pair):
+        a, b = find(owner[x]), find(owner[y])
+        parent[max(a, b)] = min(a, b)
+    classes: dict[int, list[int]] = {}
+    for v in range(d.n_vertices):
+        classes.setdefault(find(v), []).append(v)
+    return tuple(tuple(c) for _, c in sorted(classes.items()))
+
+
+def naive_check_passes(rows) -> int:
+    """The crossing count of per-circuit ``(vertex, role, sign)`` rows, by
+    sorting every pass: vertex ``v``'s two passes must sort to places
+    ``2v`` and ``2v + 1`` as ``(v, "O", s)`` and ``(v, "U", s)``."""
+    flat = sorted(p for row in rows for p in row)
+    n = len(flat) // 2
+    if not (all(rows) and 2 * n == len(flat) and all(
+            o == (v, "O", o[2]) and u == (v, "U", o[2]) and o[2] in ("+", "-")
+            for v, o, u in zip(range(n), flat[::2], flat[1::2]))):
+        raise DiagramError(f"invalid signed Gauss code: {rows!r}")
+    return n
+
+
 def _sigma(d: Diagram) -> dict[int, int]:
     """Counterclockwise next dart at the same vertex."""
     return {rot[i]: rot[(i + 1) % 4] for rot in d.rotations for i in range(4)}
@@ -130,24 +166,35 @@ def _circuits(d: Diagram) -> list[list[int]]:
     return circuits
 
 
-def _serialize(d: Diagram, circuits, comp_order: tuple[int, ...], starts: tuple[int, ...]) -> str:
-    """Emit a signed Gauss string for one choice of component order and
-    starting pass per component; crossings renumbered by first traversal."""
+def _passes(d: Diagram, circuits) -> list[list[tuple[int, str, str]]]:
+    """Per circuit, the ``(vertex, role, sign)`` of each pass of its walk."""
     sigma = _sigma(d)
     vertex_of = {x: v for v, rot in enumerate(d.rotations) for x in rot}
+    ins = [_ins(d, v) for v in range(d.n_vertices)]
+    rows = []
+    for circ in circuits:
+        row = []
+        for p in circ:
+            v = vertex_of[p]
+            over_in, under_in = ins[v]
+            row.append((v, "O" if p == over_in else "U",
+                        "+" if sigma[over_in] == under_in else "-"))
+        rows.append(row)
+    return rows
+
+
+def _serialize(d: Diagram, rows, comp_order: tuple[int, ...], starts: tuple[int, ...]) -> str:
+    """Emit a signed Gauss string for one choice of component order and
+    starting pass per component; crossings renumbered by first traversal."""
     names: dict[int, int] = {}
     parts = []
     for ci, si in zip(comp_order, starts):
-        circ = circuits[ci]
+        row = rows[ci]
         toks = []
-        for j in range(len(circ)):
-            p = circ[(si + j) % len(circ)]
-            v = vertex_of[p]
+        for j in range(len(row)):
+            v, role, sgn = row[(si + j) % len(row)]
             if v not in names:
                 names[v] = len(names) + 1
-            over_in, under_in = _ins(d, v)
-            role = "O" if p == over_in else "U"
-            sgn = "+" if sigma[over_in] == under_in else "-"
             toks.append(f"{role}{names[v]}{sgn}")
         parts.append(" ".join(toks))
     parts.extend("*" * d.free_loops)
@@ -156,22 +203,22 @@ def _serialize(d: Diagram, circuits, comp_order: tuple[int, ...], starts: tuple[
 
 def naive_serialize_default(d: Diagram) -> str:
     """Circuits in order, each from its least dart."""
-    circuits = _circuits(d)
-    c = len(circuits)
-    return _serialize(d, circuits, tuple(range(c)), (0,) * c)
+    rows = _passes(d, _circuits(d))
+    c = len(rows)
+    return _serialize(d, rows, tuple(range(c)), (0,) * c)
 
 
 def naive_canonical_string(d: Diagram) -> str:
     """Lexicographic minimum of the serializations over every component
     order and every starting pass, each one emitted in full."""
-    circuits = _circuits(d)
-    c = len(circuits)
+    rows = _passes(d, _circuits(d))
+    c = len(rows)
     if c == 0:
-        return _serialize(d, circuits, (), ())
+        return _serialize(d, rows, (), ())
     best = None
     for comp_order in itertools.permutations(range(c)):
-        for starts in itertools.product(*(range(len(circuits[i])) for i in comp_order)):
-            s = _serialize(d, circuits, comp_order, starts)
+        for starts in itertools.product(*(range(len(rows[i])) for i in comp_order)):
+            s = _serialize(d, rows, comp_order, starts)
             if best is None or s < best:
                 best = s
     return best

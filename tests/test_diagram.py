@@ -14,6 +14,7 @@ from vlink.diagram import (
     DiagramError,
     _check_passes,
     _from_passes,
+    _label,
     canonical_string,
     disjoint_union,
     mirror,
@@ -22,7 +23,7 @@ from vlink.diagram import (
     validate,
 )
 from vlink.invariants import dihedral_quandle, quandle_colorings
-from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
+from vlink.moves import ALL_KINDS, _apply_unchecked, _edit, enumerate_moves
 from vlink.search import SearchBounds, orbit
 from vlink.surface import genus
 
@@ -32,6 +33,8 @@ from oracles import (
     _sigma,
     find_isomorphism,
     naive_canonical_string,
+    naive_check_passes,
+    naive_graph_components,
     naive_serialize_default,
 )
 
@@ -202,6 +205,8 @@ def test_canonical_matches_oracle_on_orbit_states():
     [[(0, "O", "+"), (0, "U", "+"), (2, "O", "-"), (2, "U", "-")]],  # no vertex 1
     [[(0, "O", "+"), (0, "U", "+")], []],              # an empty circuit
     [[(0, "O", "?"), (0, "U", "?")]],                  # not a sign
+    [[(0, "X", "+"), (0, "U", "+")]],                  # not a role
+    [[(-1, "O", "+"), (-1, "U", "+")]],                # a vertex below 0
 ])
 def test_check_passes_rejects_broken_codes(rows):
     with pytest.raises(DiagramError, match="invalid signed Gauss code"):
@@ -212,6 +217,125 @@ def test_check_passes_counts_the_crossings_of_every_valid_code():
     for d in [EMPTY, UNKNOT, KINK, VT] + random_diagrams(17, 40, max_v=5, max_loops=2):
         assert _check_passes(d.passes) == d.n_vertices
         assert _from_passes(d.passes, d.free_loops) == d  # to_diagram's layout
+
+
+def _outcome(check, rows):
+    """What ``check`` returns on ``rows``, or the message it raises."""
+    try:
+        return check(rows)
+    except DiagramError as err:
+        return str(err)
+
+
+def _broken(rows, rng: random.Random) -> list:
+    """Copies of non-empty valid ``rows``, each with one change: a sign
+    flipped, a role swapped, the roles of one crossing swapped (still
+    valid), a pass repeated or dropped, a vertex set to -1 or n, an empty
+    circuit added, or a pass given role "X" or sign "?"."""
+    n = sum(map(len, rows)) // 2
+    ci = rng.randrange(len(rows))
+    i = rng.randrange(len(rows[ci]))
+    v, role, sgn = rows[ci][i]
+    other = {"O": "U", "U": "O"}
+
+    def put(*passes):
+        return [row if k != ci else row[:i] + list(passes) + row[i + 1:]
+                for k, row in enumerate(rows)]
+
+    return [
+        put((v, role, {"+": "-", "-": "+"}[sgn])),
+        put((v, other[role], sgn)),
+        [[(w, other[r] if w == v else r, t) for w, r, t in row] for row in rows],
+        put((v, role, sgn), (v, role, sgn)),
+        put(),
+        put((-1, role, sgn)),
+        put((n, role, sgn)),
+        rows[:ci] + [[]] + rows[ci:],
+        put((v, "X", sgn)),
+        put((v, role, "?")),
+    ]
+
+
+def test_check_passes_agrees_with_the_sorting_check():
+    rng = random.Random(67)
+    tables = [list(map(list, d.passes)) for d in
+              [EMPTY, UNKNOT, KINK, VT] + random_diagrams(71, 300, max_v=6, max_comps=3)]
+    cases = tables + [bad for rows in tables if rows for bad in _broken(rows, rng)]
+    outcomes = [_outcome(_check_passes, rows) for rows in cases]
+    assert outcomes == [_outcome(naive_check_passes, rows) for rows in cases]
+    assert sum(isinstance(out, int) for out in outcomes) > len(tables)
+
+
+def test_graph_components_match_union_find():
+    corpus = (all_connected_diagrams(3)
+              + random_diagrams(53, 600, max_v=6, max_comps=3, max_loops=2))
+    for d in corpus:
+        assert d.graph_components == naive_graph_components(d)
+    assert any(len(d.graph_components) > 1 for d in corpus)
+
+
+def _numbered_rows(text: str):
+    """The rows of a code whose crossing ``k`` is vertex ``k - 1``, in the
+    text's circuit order, and its free-loop count."""
+    parts = text.split(" / ") if text else []
+    rows = [[(int(t[1:-1]) - 1, t[0], t[-1]) for t in part.split()]
+            for part in parts if part != "*"]
+    return rows, parts.count("*")
+
+
+def _assert_label_matches_oracle(rows, loops) -> None:
+    expected = naive_canonical_string(_from_passes(rows, loops))
+    assert _label(rows, _check_passes(rows), loops) == expected, (rows, loops)
+
+
+@pytest.mark.parametrize("text", [
+    # no positive crossing: the least string opens with O1-
+    "O1- U1-", "U1- O1-", "O1- U2- O3- U1- O2- U3-", "U2- O1- U1- O2-",
+    "O1- U2- / U1- O2-", "U2- O1- / U1- O2- / *",
+    # positive crossings only in a later circuit
+    "O1- U1- / O2+ U2+", "U1- O2- / O1- U2- O3+ U3+",
+    "O1- U1- / O2+ U3+ / U2+ O3+", "O1- U2- / U1- O3+ U4+ / O2- U3+ O4+",
+    "U3- O3- / U1+ O2- / O1+ U2-",
+    # one circuit with free loops
+    "O1+ U2+ O3+ U1+ O2+ U3+ / * / *", "O2- O1+ U2- U1+ / *", "U1+ O1+ / *",
+    # a kink of each sign, free loops only, and the empty code
+    "O1+ U1+", "U1+ O1+", "O1- U1-", "*", "* / * / *", "",
+])
+def test_label_matches_oracle_on_chosen_codes(text):
+    _assert_label_matches_oracle(*_numbered_rows(text))
+
+
+def test_label_matches_oracle_on_raw_move_edits():
+    # the codes the search labels: each move's rows as _edit leaves them,
+    # before any renumbering
+    sites = [(d, site) for d in all_connected_diagrams(3)
+             for site in enumerate_moves(d, ALL_KINDS)]
+    for d, site in sites[::7]:
+        _assert_label_matches_oracle(*_edit(d, site))
+    assert len(sites[::7]) > 20000
+
+
+@st.composite
+def pass_tables(draw):
+    """Valid rows of up to 3 circuits and 6 crossings, vertices renamed
+    by a permutation and each circuit rotated, and 0 to 2 free loops."""
+    n = draw(st.integers(0, 6))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    passes = draw(st.permutations([(v, role, signs[v]) for v in range(n) for role in "OU"]))
+    cuts = sorted(draw(st.sets(st.integers(1, 2 * n - 1), max_size=2))) if n else []
+    rows = [passes[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * n])] if n else []
+    name = draw(st.permutations(range(n)))
+    turned = []
+    for row in rows:
+        t = draw(st.integers(0, len(row) - 1))
+        turned.append([(name[v], role, sgn) for v, role, sgn in row[t:] + row[:t]])
+    return turned, draw(st.integers(0, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pass_tables())
+def test_label_matches_oracle_on_drawn_tables(table):
+    _assert_label_matches_oracle(*table)
 
 
 def _darts_renamed(d: Diagram, rng: random.Random) -> Diagram:

@@ -92,3 +92,17 @@ def test_each_layer_reads_what_a_lower_layer_owns():
                 for name in (node.module, *(alias.name for alias in node.names))]
     assert "diagram" in imported and "surface" not in imported
     assert "_apply_unchecked" not in (SRC / "search.py").read_text()
+
+
+def test_code_check_and_labeller_each_loop_once():
+    # _check_passes reads each pass once, with no sort; _label's piece
+    # loop lives in its one nested function, so no copy of it can serve
+    # one-circuit codes apart
+    tree = ast.parse((SRC / "diagram.py").read_text(), filename="diagram.py")
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {getattr(node.func, "id", None) for node in ast.walk(funcs["_check_passes"])
+              if isinstance(node, ast.Call)}
+    assert called and not called & {"sorted", "zip"}
+    nested = [node for node in ast.walk(funcs["_label"])
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert len(nested) == 2  # _label and its one nested function
