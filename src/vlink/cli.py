@@ -65,6 +65,8 @@ def _parse_quandles(arg: str) -> tuple[tuple[str, Quandle], ...]:
     out = []
     for name in arg.split(","):
         name = name.strip()
+        if not name:
+            raise ValueError(f"quandle list {arg!r} has an empty entry")
         size = name[1:]
         if name[:1] == "R" and size.isascii() and size.isdigit():
             order = int(size)

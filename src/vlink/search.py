@@ -11,7 +11,10 @@ genus-changing transitions would be unreachable.
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
 search shares; the listing holds the state's minimize rank and its
-successors, both read from that one representative.  A listing is
+successors, both read from that one representative.  A search reads
+each state's rank when it lists the state, so ``minimize`` builds a
+listing again only for the states a truncated search reached but never
+listed, whatever the memo has evicted.  A listing is
 ``moves.enumerate_moves``, which lists each distinct move once: a site
 it leaves out repeats the state of a site it lists earlier, so leaving
 it out changes no result.  Successors are labelled from
@@ -121,7 +124,8 @@ class _Listing:
     search whose budget runs out part-way through a state's successors
     labels no more of them than it reads.  The representative is built
     once; the rank is read from it, the sites' labels refer to it, and it
-    is released when its successors are exhausted."""
+    is released when its successors are exhausted.  A search reads the
+    rank when it lists the state, before its pairs."""
 
     def __init__(self, cs: str, max_crossings: int):
         rep = _from_canonical(cs)
@@ -179,12 +183,18 @@ class _Search:
     Each layer expands the frontier in sorted order and successors in
     ``_successors`` order, and the search stops at the first new state
     the budget refuses.
+
+    ``least`` is the least rank of the states listed so far.  After
+    ``run``, ``frontier`` holds exactly the states reached but never
+    listed (none when the orbit closed), so ``minimize`` ranks only
+    those beside ``least``.
     """
 
     def __init__(self, cs: str, budget: _Budget):
         self.parents: dict[str, tuple[str, MoveSite] | None] = {cs: None}
         self.frontier = [cs]
         self.budget = budget
+        self.least = (math.inf,)
 
     def layer(self):
         """Expand the frontier by one move; yields each new state."""
@@ -194,12 +204,16 @@ class _Search:
             return
         budget.layers -= 1
         parents, frontier, cap = self.parents, [], budget.bounds.max_crossings
-        for cs in sorted(self.frontier):
-            for site, cs2 in _successors(cs, cap):
+        order = sorted(self.frontier)
+        for i, cs in enumerate(order):
+            listing = _successors(cs, cap)
+            self.least = min(self.least, listing.rank)
+            for site, cs2 in listing:
                 if cs2 in parents:
                     continue
                 if budget.states <= 0:
                     budget.truncated = True
+                    self.frontier = order[i + 1:] + frontier
                     return
                 budget.states -= 1
                 parents[cs2] = (cs, site)
@@ -207,10 +221,11 @@ class _Search:
                 yield cs2
         self.frontier = frontier
 
-    def run(self):
+    def run(self) -> None:
         """Every layer until the orbit closes or the budget runs out."""
         while self.frontier and not self.budget.truncated:
-            yield from self.layer()
+            for _ in self.layer():
+                pass
 
 
 def _path(parents, cs: str):
@@ -235,8 +250,7 @@ def orbit(d: Diagram, bounds: SearchBounds) -> OrbitResult:
     require_valid(d)
     bounds.check(d)
     search = _Search(canonical_string(d), _Budget(bounds, 1))
-    for _ in search.run():
-        pass
+    search.run()
     return OrbitResult(frozenset(search.parents), search.budget.truncated, len(search.parents))
 
 
@@ -317,9 +331,9 @@ def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     """The search of ``d``'s orbit and its least (total genus, crossings,
     canonical string)."""
     search = _Search(canonical_string(d), _Budget(bounds, 1))
-    for _ in search.run():
-        pass
-    return search, min(_successors(cs, bounds.max_crossings).rank for cs in search.parents)
+    search.run()
+    return search, min([search.least, *(_successors(cs, bounds.max_crossings).rank
+                                        for cs in search.frontier)])
 
 
 def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:
@@ -349,13 +363,13 @@ class ClassifyReport:
     def to_text(self) -> str:
         lines = [f"diagrams: {sum(len(c) for c in self.classes)}",
                  f"classes: {len(self.classes)}"]
+        witness_of = dict(self.witnesses)
         for i, cls in enumerate(self.classes, start=1):
             lines.append(f"class {i}: size {len(cls)}")
             for cs in cls:
                 lines.append(f"  member: {cs if cs else '(empty)'}")
-            for rep_cs, wit in self.witnesses:
-                if rep_cs == cls[0]:
-                    lines.append(f"  minimal: {wit if wit else '(empty)'}")
+            if cls[0] in witness_of:
+                lines.append(f"  minimal: {witness_of[cls[0]] or '(empty)'}")
         lines.append("invariants:")
         for cs, table in self.invariants:
             row = " ".join(f"{name}={val}" for name, val in table)

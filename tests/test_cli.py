@@ -190,6 +190,14 @@ def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):
         code, out, err = run_cli_err(["equiv", files["kink.gauss"], files["unknot.gauss"],
                                       "--quandles", name])
         assert code == 3 and out == "" and len(err.splitlines()) == 1, name
+    # an empty entry is named, not read as the working directory
+    for arg in ("R3,", ",", " "):
+        code, out, err = run_cli_err(["equiv", files["kink.gauss"], files["unknot.gauss"],
+                                      "--quandles", arg])
+        assert code == 3 and out == "" and len(err.splitlines()) == 1, arg
+        assert "empty entry" in err and "Is a directory" not in err, arg
+    pair = ["equiv", files["trefoil.gauss"], files["unknot.gauss"]]
+    assert run_cli_err(pair + ["--quandles", ""]) == run_cli_err(pair)
 
 
 def test_search_bounds_below_input_exit_3(files):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -504,6 +505,27 @@ def test_each_state_is_parsed_once(monkeypatch):
     _clear_memos()
     classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(3, max_states=200))
     assert len(calls) == 120
+
+
+def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
+    # a search reads each state's rank when it lists the state, so a memo
+    # far smaller than the orbit rebuilds no state: minimize parses each
+    # explored state once, and once more the witness
+    small = functools.lru_cache(maxsize=64)(vlink.search._successors.__wrapped__)
+    monkeypatch.setattr(vlink.search, "_successors", small)
+    calls = []
+    real = vlink.search._from_canonical
+    monkeypatch.setattr(vlink.search, "_from_canonical", lambda cs: calls.append(cs) or real(cs))
+    m = minimize(UNKNOT, SearchBounds(4, max_states=None))
+    assert m.certified and len(calls) == m.explored + 1 == 1532
+    small.cache_clear()
+    calls.clear()
+    minimize(DOUBLED, SearchBounds(4, max_states=300))
+    assert len(calls) == 301
+    small.cache_clear()
+    calls.clear()
+    classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(4, max_states=1000))
+    assert len(calls) == 1003
 
 
 def test_classify_merges_when_orbits_meet():

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import vlink
@@ -106,3 +108,15 @@ def test_code_check_and_labeller_each_loop_once():
     nested = [node for node in ast.walk(funcs["_label"])
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert len(nested) == 2  # _label and its one nested function
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's tracer rebinds library names such as
+    # canonical_string.cache_info, surface.trace_faces and
+    # moves._apply_unchecked; a change that drops one fails here
+    code = ('import sys; sys.path[:0] = ["src", "tests", "perfbench"]; '
+            'from tracing import Tracer; Tracer().install()')
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-B", "-c", code], cwd=root,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
