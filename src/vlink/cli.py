@@ -47,11 +47,17 @@ def _read_diagram(path: str) -> Diagram:
 
 
 def _read_corpus(path: str) -> list[Diagram]:
+    """One diagram per line; a line that does not read names its number,
+    counted as an editor counts it (``splitlines`` also breaks at form
+    feeds and other separators)."""
     out = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().split("\n"), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            out.append(to_diagram(parse_gauss(line)))
+            try:
+                out.append(to_diagram(parse_gauss(line)))
+            except ValueError as e:
+                raise ValueError(f"line {number}: {e}") from e
     return out
 
 

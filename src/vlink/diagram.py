@@ -308,6 +308,7 @@ def stats(d: Diagram) -> DiagramStats:
 
 def mirror(d: Diagram) -> Diagram:
     """Swap the over/under decoration at every vertex.  Involutive."""
+    require_valid(d)
     new_over = []
     for v, rot in enumerate(d.rotations):
         new_over.append(tuple(x for x in rot if x not in d.over_pair[v]))

@@ -126,8 +126,6 @@ class LaurentPoly:
 
 
 DELTA = LaurentPoly.from_dict({2: -1, -2: -1})  # -A^2 - A^-2
-MINUS_A_CUBED = LaurentPoly.monomial(3, -1)
-MINUS_A_CUBED_INV = LaurentPoly.monomial(-3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +300,12 @@ def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPo
 
 
 def f_poly(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPoly:
-    """Writhe-normalized bracket (-A^3)^(-w) <d>, invariant under all moves."""
+    """Writhe-normalized bracket (-A^3)^(-w) <d>, invariant under all moves:
+    the coefficient c at exponent e becomes (-1)^w c at e - 3w."""
     b = bracket(d, max_crossings)
     w = stats(d).writhe
-    factor = (MINUS_A_CUBED_INV if w > 0 else MINUS_A_CUBED) ** abs(w)
-    return factor * b
+    sign = -1 if w % 2 else 1
+    return LaurentPoly(tuple((e - 3 * w, sign * c) for e, c in b.coeffs))
 
 
 # ---------------------------------------------------------------------------

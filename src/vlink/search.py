@@ -10,16 +10,17 @@ genus-changing transitions would be unreachable.
 
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
-search shares; the listing holds the state's minimize rank and its
-successors, both read from that one representative.  A search reads
-each state's rank when it lists the state, so ``minimize`` builds a
-listing again only for the states a truncated search reached but never
-listed, whatever the memo has evicted.  A listing is
+search shares.  A listing holds the state's minimize rank and its
+successors, labelled in order only as far as some search has read them;
+a label that fails appends nothing, and a complete listing releases the
+representative (see ``_Listing``).  The successors come from
 ``moves.enumerate_moves``, which lists each distinct move once: a site
 it leaves out repeats the state of a site it lists earlier, so leaving
-it out changes no result.  Successors are labelled from
-``moves._edit``'s Gauss code, checked by ``diagram._check_passes``,
-without building a ``Diagram``.
+it out changes no result.  Each is labelled from ``moves._edit``'s Gauss
+code, checked by ``diagram._check_passes``, without building a
+``Diagram``.  A search reads each state's rank when it lists the state,
+so ``minimize`` builds a listing again only for the states a truncated
+search reached but never listed, whatever the memo has evicted.
 Replay does not use the memo: it builds each step's representative
 afresh, applies the step with ``moves.apply_move``, which checks the
 site against the listing and validates the result, and labels the result.
@@ -103,65 +104,54 @@ class MinimizeResult:
 _GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 
-def _expand(rep: Diagram, max_crossings: int):
-    """Deterministic (site, canonical result) successors within the
-    crossing cap, one per site ``enumerate_moves`` lists for the moves
-    that fit.  The listing holds no site known to repeat an earlier
-    site's state, and keeps the first site giving each state, so searches
-    reach the same states through the same first sites, and record the
-    same parents and paths, as with every site applied.  Each result is
-    labelled from its checked Gauss code, with no ``Diagram``."""
-    room = max_crossings - rep.n_vertices
-    kinds = {kind for kind, growth in _GROWTH.items() if growth <= room}
-    for site in enumerate_moves(rep, kinds):
-        rows, free_loops = _edit(rep, site)
-        yield site, _label(rows, _check_passes(rows), free_loops)
-
-
 class _Listing:
-    """One state's minimize rank, and ``_expand``'s (site, canonical
-    result) pairs computed only as far as some search has read them: a
-    search whose budget runs out part-way through a state's successors
-    labels no more of them than it reads.  The representative is built
-    once; the rank is read from it, the sites' labels refer to it, and it
-    is released when its successors are exhausted.  A search reads the
-    rank when it lists the state, before its pairs."""
+    """One state's minimize rank and its (site, canonical result) pairs.
+
+    The rank is read from the representative when the listing is built; a
+    search reads it when it lists the state, before its pairs.  At the
+    first read, the listing takes the representative's sites for the moves
+    that fit the crossing cap from ``enumerate_moves``, which keeps the
+    first site giving each state, so searches reach the same states
+    through the same first sites, and record the same parents and paths,
+    as with every site applied.  A reader that reaches index ``i`` of
+    ``pairs`` labels ``sites[i]`` there, so a search whose budget runs out
+    part-way through the successors labels no more of them than it reads.
+    A label that raises, or is interrupted, appends nothing, and the next
+    reader labels that site again.  When the last site is labelled, the
+    representative and the sites are released; readers then read ``pairs``.
+    """
 
     def __init__(self, cs: str, max_crossings: int):
         rep = _from_canonical(cs)
         # (total genus, crossings, canonical string); genus and crossings
         # do not change under isomorphism
         self.rank = (genus(rep).total, rep.n_vertices, cs)
-        self._cs, self._cap = cs, max_crossings
-        self._read: list[tuple[MoveSite, str]] = []
-        self._rest = _expand(rep, max_crossings)
+        self.pairs: list[tuple[MoveSite, str]] = []
+        self._rep, self._cap, self._sites = rep, max_crossings, None
 
     def __iter__(self):
-        read, i = self._read, 0
-        while True:
-            if i == len(read):
-                try:
-                    step = next(self._rest, None)
-                except BaseException:
-                    # an expansion that raised (or was interrupted) resumes
-                    # after the pairs already read instead of ending early
-                    self._rest = itertools.islice(
-                        _expand(_from_canonical(self._cs), self._cap), len(read), None)
-                    raise
-                if step is None:
-                    return
-                read.append(step)
-            yield read[i]
-            i += 1
+        pairs, i = self.pairs, 0
+        while self._rep is not None:
+            if i < len(pairs):
+                yield pairs[i]
+                i += 1
+                continue
+            if self._sites is None:
+                room = self._cap - self._rep.n_vertices
+                self._sites = enumerate_moves(
+                    self._rep, {kind for kind, growth in _GROWTH.items() if growth <= room})
+            if i < len(self._sites):
+                site = self._sites[i]
+                rows, free_loops = _edit(self._rep, site)
+                pairs.append((site, _label(rows, _check_passes(rows), free_loops)))
+            if len(pairs) == len(self._sites):
+                self._rep = self._sites = None
+        yield from pairs[i:]
 
 
 # distinct states whose listings are kept, per crossing cap
 _MEMO_SIZE = 2**12
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _successors(cs: str, max_crossings: int) -> _Listing:
-    return _Listing(cs, max_crossings)
+_successors = functools.lru_cache(maxsize=_MEMO_SIZE)(_Listing)
 
 
 class _Budget:

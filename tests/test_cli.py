@@ -176,6 +176,17 @@ def test_unreplayable_path_exits_4(files, tmp_path, monkeypatch):
         assert len(err.splitlines()) == 1 and "failed to replay" in err
 
 
+def test_corpus_error_names_its_line(tmp_path):
+    # comment and blank lines count, a form feed ends no line, and the
+    # position stays the one in the line
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# two good, one bad\nO1+ U1+\x0c\n\n*\nO1+ U0+\n")
+    code, out, err = run_cli_err(["classify", str(corpus)])
+    assert (code, out) == (3, "")
+    assert err == ("vlink classify: line 5: crossing index must be positive"
+                   " (at position 5)\n")
+
+
 def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):
     code, _, err = run_cli_err(["equiv", str(tmp_path / "absent.gauss"), files["unknot.gauss"]])
     assert code == 3 and len(err.splitlines()) == 1

@@ -89,6 +89,10 @@ def test_stats_rejects_invalid():
     broken = Diagram(((0, 1, 2, 3),), (0, 1, 2, 3), ((0, 2),), (True,) * 4, 0)
     with pytest.raises(DiagramError):
         stats(broken)
+    # no over pair for vertex 0: mirror validates before it reads one
+    broken = Diagram(((0, 1, 2, 3),), (2, 3, 0, 1), (), (True, True, False, False))
+    with pytest.raises(DiagramError):
+        mirror(broken)
 
 
 def test_edge_count_is_twice_vertex_count():
@@ -456,7 +460,7 @@ def diagram_shaped(draw) -> Diagram:
 def test_serializations_reject_exactly_what_validate_reports(d):
     errs = validate(d)
     if errs:
-        for read in (canonical_string, from_diagram, stats,
+        for read in (canonical_string, from_diagram, stats, mirror,
                      lambda d: quandle_colorings(d, dihedral_quandle(3))):
             with pytest.raises(DiagramError) as info:
                 read(d)

@@ -184,6 +184,9 @@ def test_f_poly_facts():
     assert f_poly(TREFOIL) != one
     assert f_poly(TREFOIL) == LaurentPoly.from_dict({-16: -1, -12: 1, -4: 1})
     assert f_poly(VT) == LaurentPoly.from_dict({-10: -1, -6: 1, -4: 1})
+    # odd, negative writhe: the sign flips and the shift is upward
+    assert stats(mirror(TREFOIL)).writhe == -3
+    assert f_poly(mirror(TREFOIL)) == LaurentPoly.from_dict({4: 1, 12: 1, 16: -1})
 
 
 def test_f_poly_distinguishes_vt_from_all_small_classical():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
@@ -13,7 +14,7 @@ from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked
 from vlink.search import (
     SearchBounds,
     SearchError,
-    _expand,
+    _Listing,
     _replay,
     _successors,
     classify_corpus,
@@ -158,10 +159,10 @@ def _first_occurrences(pairs) -> list:
     return [(site, cs) for site, cs in pairs if not (cs in seen or seen.add(cs))]
 
 
-def _check_listing(rep, cap, full) -> int:
-    """``_expand`` lists a subsequence of ``full`` with the same first
-    occurrence of every state; returns how many pairs it skipped."""
-    got = list(_expand(rep, cap))
+def _check_listing(cs, cap, full) -> int:
+    """The state's listing holds a subsequence of ``full`` with the same
+    first occurrence of every state; returns how many pairs it skipped."""
+    got = list(_Listing(cs, cap))
     rest = iter(full)
     assert all(pair in rest for pair in got)
     assert _first_occurrences(got) == _first_occurrences(full)
@@ -181,8 +182,7 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
               for room in (1, 2)]
     skipped = 0
     for cs, cap in cases:
-        rep = _from_canonical(cs)
-        skipped += _check_listing(rep, cap, full_listing(rep, cap))
+        skipped += _check_listing(cs, cap, full_listing(_from_canonical(cs), cap))
     # every repeat enumerate_moves leaves out: pinned, so that a site it
     # starts listing shows here although the results stay the same
     assert skipped == 22906
@@ -194,7 +194,7 @@ def _clear_memos():
 
 def _pairs(cs: str, cap: int) -> list:
     """The (site, canonical result) successors of ``cs``, without the memo."""
-    return list(_expand(_from_canonical(cs), cap))
+    return list(_Listing(cs, cap))
 
 
 def test_results_do_not_depend_on_memo_state():
@@ -267,23 +267,54 @@ def test_successors_are_computed_as_far_as_read(monkeypatch):
     assert len(applied) == len(fresh)
 
 
-def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
+def _check_resumes_after(monkeypatch, error):
+    """A read that ``error`` stops at the third label keeps the two pairs
+    before it; the next read labels the third site again and reads on."""
     cs = canonical_string(DOUBLED)
     fresh = _pairs(cs, 4)
     real = vlink.search._edit
     applied = []
 
-    def interrupt_third(d, site):
+    def stop_third(d, site):
         applied.append(site)
         if len(applied) == 3:
-            raise KeyboardInterrupt
+            raise error
         return real(d, site)
 
-    monkeypatch.setattr(vlink.search, "_edit", interrupt_third)
+    monkeypatch.setattr(vlink.search, "_edit", stop_third)
     _clear_memos()
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(type(error)):
         list(_successors(cs, 4))
+    assert _successors(cs, 4).pairs == fresh[:2]
     assert list(_successors(cs, 4)) == fresh
+    assert applied[2] == applied[3] == fresh[2][0]
+    assert len(applied) == len(fresh) + 1
+
+
+def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
+    _check_resumes_after(monkeypatch, KeyboardInterrupt())
+
+
+def test_failed_label_is_labelled_again(monkeypatch):
+    _check_resumes_after(monkeypatch, DiagramError("invalid signed Gauss code"))
+
+
+def test_listing_releases_its_representative_when_complete(monkeypatch):
+    # a partly read listing keeps its representative for the sites still
+    # to label; a complete one keeps only its pairs
+    reps = []
+    real = vlink.search._from_canonical
+    monkeypatch.setattr(vlink.search, "_from_canonical",
+                        lambda cs: reps.append(weakref.ref(rep := real(cs))) or rep)
+    cs = canonical_string(DOUBLED)
+    fresh = _pairs(cs, 4)
+    partial = _Listing(cs, 4)
+    assert next(iter(partial)) == fresh[0]
+    full = _Listing(cs, 4)
+    assert list(full) == fresh
+    assert len(reps) == 3
+    assert reps[1]() is not None and reps[2]() is None
+    assert list(partial) == fresh and reps[1]() is None
 
 
 def test_rep_builds_what_the_parser_builds(corpus_v3):
@@ -368,9 +399,9 @@ def test_backward_step_without_inverse_raises(monkeypatch):
     # a move set without curls on diagrams that have crossings: the
     # backward search reaches KINK from DOUBLED by R1-, and no move of
     # KINK's listing leads back
-    real = vlink.search._expand
-    monkeypatch.setattr(vlink.search, "_expand", lambda rep, cap: (
-        step for step in real(rep, cap) if step[0].kind != "R1+" or not rep.n_vertices))
+    real = vlink.search.enumerate_moves
+    monkeypatch.setattr(vlink.search, "enumerate_moves", lambda rep, kinds: [
+        site for site in real(rep, kinds) if site.kind != "R1+" or not rep.n_vertices])
     _clear_memos()
     try:
         with pytest.raises(SearchError, match="no inverse"):

@@ -110,6 +110,23 @@ def test_code_check_and_labeller_each_loop_once():
     assert len(nested) == 2  # _label and its one nested function
 
 
+def test_listing_labels_in_one_loop():
+    # a search listing labels each site where a reader reaches it: no
+    # second generator to resume, so no islice past the pairs already
+    # read and no handler in _Listing
+    tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_Listing" in defined and "_expand" not in defined
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert "islice" not in names
+    listing = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Listing")
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(listing))
+
+
 def test_benchmark_tracer_installs():
     # the benchmark's tracer rebinds library names such as
     # canonical_string.cache_info, surface.trace_faces and
