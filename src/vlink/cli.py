@@ -15,8 +15,8 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
-from .codec import emit_gauss, from_diagram, parse_gauss, to_diagram
-from .diagram import Diagram
+from .codec import parse_gauss, to_diagram
+from .diagram import Diagram, canonical_string
 from .invariants import (
     MAX_QUANDLE_ORDER,
     Quandle,
@@ -98,8 +98,8 @@ def _add_search_args(sub) -> None:
                      help="crossing cap during search (default: input size + 2)")
     sub.add_argument("--max-depth", type=int, default=None,
                      help="move count cap (default: unbounded)")
-    sub.add_argument("--max-states", type=int, default=20000,
-                     help="visited state cap (default: 20000)")
+    sub.add_argument("--max-states", type=int, default=SearchBounds.max_states,
+                     help=f"visited state cap (default: {SearchBounds.max_states})")
     sub.add_argument("--quandles", default="",
                      help="comma list of quandles for invariant checks, e.g. R3,R5")
 
@@ -136,8 +136,7 @@ def cmd_equiv(args) -> int:
 def cmd_minimize(args) -> int:
     d = _read_diagram(args.diagram)
     res = minimize(d, _bounds(args, d))
-    code = emit_gauss(from_diagram(res.witness))
-    print(f"witness: {code if code else '(empty)'}")
+    print(f"witness: {canonical_string(res.witness) or '(empty)'}")
     print(f"genus: {res.total_genus}")
     print(f"crossings: {res.crossings}")
     print(f"status: {'certified' if res.certified else 'upper-bound'}")

@@ -25,8 +25,10 @@ broken maps, which :func:`validate` reports as data.  One scan of the
 fields, cached on the diagram, finds those violations and, on a valid
 diagram, reads the signed Gauss code (:attr:`Diagram.passes`) and builds
 every per-dart table: ``vertex_of``, ``sigma``, ``opposite`` and each
-in-dart's place in the code.  Every diagram built from a code, parsed
-or a move result, goes through the one map builder :func:`_from_passes`.
+in-dart's place in the code.  Every diagram the library builds (parsed,
+a move result, or an edit of a code such as :func:`mirror`) goes through
+:func:`_from_passes`, which alone lays out darts; ``codec.diagram_from_json``
+is the one reader that takes a map as given.
 
 :func:`canonical_string` is the least signed Gauss string of a diagram.
 Every such string opens with a role, the crossing name 1 and a sign,
@@ -307,45 +309,30 @@ def stats(d: Diagram) -> DiagramStats:
 
 
 def mirror(d: Diagram) -> Diagram:
-    """Swap the over/under decoration at every vertex.  Involutive."""
-    require_valid(d)
-    new_over = []
-    for v, rot in enumerate(d.rotations):
-        new_over.append(tuple(x for x in rot if x not in d.over_pair[v]))
-    return Diagram(d.rotations, d.edge_pair, tuple(new_over), d.inbound, d.free_loops)
+    """The mirror image, built by :func:`_from_passes`: every pass swaps O
+    and U and flips its sign.  Involutive on the diagrams ``_from_passes``
+    lays out; for any other valid map, such as one read from JSON, the
+    result is isomorphic to the map with each over pair swapped in place."""
+    swap = {"O": "U", "U": "O", "+": "-", "-": "+"}
+    return _from_passes([[(v, swap[role], swap[sgn]) for v, role, sgn in row]
+                         for row in d.passes], d.free_loops)
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
-    """Place two diagrams side by side on separate surfaces."""
-    require_valid(d1)
-    require_valid(d2)
-    k = d1.n_darts
-    return Diagram(
-        rotations=d1.rotations + tuple(tuple(x + k for x in rot) for rot in d2.rotations),
-        edge_pair=d1.edge_pair + tuple(x + k for x in d2.edge_pair),
-        over_pair=d1.over_pair + tuple((a + k, b + k) for a, b in d2.over_pair),
-        inbound=d1.inbound + d2.inbound,
-        free_loops=d1.free_loops + d2.free_loops,
-    )
+    """Place two diagrams side by side on separate surfaces, built by
+    :func:`_from_passes`: ``d2``'s vertices follow ``d1``'s."""
+    k = d1.n_vertices
+    rows = d1.passes + tuple(tuple((v + k, role, sgn) for v, role, sgn in row)
+                             for row in d2.passes)
+    return _from_passes(rows, d1.free_loops + d2.free_loops)
 
 
 def relabel(d: Diagram, vertex_order: list[int]) -> Diagram:
-    """Rebuild ``d`` with vertices renumbered along ``vertex_order`` and
-    dart ``4v+i`` being position ``i`` of the new rotation of vertex ``v``."""
-    old = [x for v in vertex_order for x in d.rotations[v]]  # old dart at each new one
-    dart_map = {x: i for i, x in enumerate(old)}
-    edge_pair, inbound = d.edge_pair, d.inbound
-    over = []
-    for v in vertex_order:
-        a, b = d.over_pair[v]
-        over.append(tuple(sorted((dart_map[a], dart_map[b]))))
-    return Diagram(
-        rotations=tuple(tuple(range(x, x + 4)) for x in range(0, len(old), 4)),
-        edge_pair=tuple([dart_map[edge_pair[x]] for x in old]),
-        over_pair=tuple(over),
-        inbound=tuple([inbound[x] for x in old]),
-        free_loops=d.free_loops,
-    )
+    """``d`` with vertex ``vertex_order[i]`` renamed ``i``, built by
+    :func:`_from_passes`."""
+    name = {v: i for i, v in enumerate(vertex_order)}
+    return _from_passes([[(name[v], role, sgn) for v, role, sgn in row] for row in d.passes],
+                        d.free_loops)
 
 
 _IN_SLOT = {("O", "+"): 0, ("O", "-"): 0, ("U", "+"): 1, ("U", "-"): 3}

@@ -276,10 +276,13 @@ def _replay(start_cs: str, path, end_cs: str) -> bool:
 def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
                quandles=DEFAULT_QUANDLES) -> SearchOutcome:
     """Equivalent (replayable path) / Distinguished (invariant mismatch,
-    every differing invariant reported) / Unknown (bounds exhausted)."""
+    every differing invariant reported) / Unknown (bounds exhausted).
+    ``max_states`` below 2, one state per start, raises ``ValueError``."""
     require_valid(d1)
     require_valid(d2)
     bounds.check(d1, d2)
+    if bounds.max_states is not None and bounds.max_states < 2:
+        raise ValueError("max_states must be at least 2, one per start")
     cs1, cs2 = canonical_string(d1), canonical_string(d2)
     if cs1 == cs2:
         return SearchOutcome("equivalent", (), (), 1, False)

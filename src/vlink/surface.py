@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, DiagramError, relabel, require_valid
+from .diagram import UNKNOT, Diagram, DiagramError, _from_passes, require_valid
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,14 @@ def complexity_measure(d: Diagram) -> int:
 
 
 def split_components(d: Diagram) -> list[Diagram]:
-    """One diagram per connected graph component plus one unknot per free loop."""
-    require_valid(d)
-    out = [relabel(d, list(comp)) for comp in d.graph_components]
-    out = [Diagram(p.rotations, p.edge_pair, p.over_pair, p.inbound, 0) for p in out]
-    out.extend(Diagram((), (), (), (), free_loops=1) for _ in range(d.free_loops))
-    return out
+    """One diagram per connected graph component plus one unknot per free
+    loop; a component keeps its circuits, vertex ``comp[i]`` renamed ``i``."""
+    out = []
+    for comp in d.graph_components:
+        name = {v: i for i, v in enumerate(comp)}
+        out.append(_from_passes([[(name[v], role, sgn) for v, role, sgn in row]
+                                 for row in d.passes if row[0][0] in name], 0))
+    return out + [UNKNOT] * d.free_loops
 
 
 def is_classical(d: Diagram) -> bool:

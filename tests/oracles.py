@@ -134,6 +134,19 @@ def naive_check_passes(rows) -> int:
     return n
 
 
+def map_mirror(d: Diagram) -> Diagram:
+    """The mirror image made on the raw map: each vertex keeps its
+    rotation and its over pair becomes the other two darts.  On a
+    ``_from_passes`` layout the new over pairs sit at slots 1 and 3, so
+    the over-in dart is never at slot 0, where ``vlink.diagram.mirror``,
+    which rebuilds the map from the mirrored code, puts it."""
+    if d.violations:
+        raise DiagramError("invalid diagram: " + "; ".join(d.violations))
+    over = tuple(tuple(x for x in rot if x not in d.over_pair[v])
+                 for v, rot in enumerate(d.rotations))
+    return Diagram(d.rotations, d.edge_pair, over, d.inbound, d.free_loops)
+
+
 def _sigma(d: Diagram) -> dict[int, int]:
     """Counterclockwise next dart at the same vertex."""
     return {rot[i]: rot[(i + 1) % 4] for rot in d.rotations for i in range(4)}

@@ -30,6 +30,7 @@ def files(tmp_path):
         "vt.gauss": "O1+ O2+ U1+ U2+\n",
         "unknot.gauss": "*\n",
         "kink.gauss": "O1+ U1+\n",
+        "hopf.gauss": "O1+ U2+ / U1+ O2+\n",
         "corpus.txt": "# three knots\n*\nO1+ U2+ O3+ U1+ O2+ U3+\nO1+ O2+ U1+ U2+\n",
     }.items():
         p = tmp_path / name
@@ -100,11 +101,18 @@ def test_minimize_output(files):
     assert any(l.startswith("status: ") for l in lines)
 
 
-def test_minimize_vt(files):
+def test_minimize_vt(files, tmp_path):
     code, out = run_cli(["minimize", files["vt.gauss"], "--max-crossings", "4",
                          "--max-states", "2000"])
     assert "witness: O1+ O2+ U1+ U2+" in out
     assert "genus: 1" in out
+    # a link's witness is printed as its canonical string, as classify's minimal
+    code, out = run_cli(["minimize", files["hopf.gauss"], "--max-states", "2000"])
+    assert out.splitlines()[0] == "witness: O1+ U2+ / O2+ U1+"
+    corpus = tmp_path / "hopf.txt"
+    corpus.write_text("O1+ U2+ / U1+ O2+\n")
+    code, out = run_cli(["classify", str(corpus), "--max-states", "2000"])
+    assert "  minimal: O1+ U2+ / O2+ U1+" in out.splitlines()
 
 
 def test_classify_report(files):
@@ -215,3 +223,8 @@ def test_search_bounds_below_input_exit_3(files):
     code, _, err = run_cli_err(["minimize", files["trefoil.gauss"], "--max-crossings", "2"])
     assert code == 3
     assert "above max_crossings=2" in err
+    # equiv's two starts need two states
+    code, out, err = run_cli_err(["equiv", files["vt.gauss"], files["unknot.gauss"],
+                                  "--max-states", "1"])
+    assert (code, out) == (3, "")
+    assert err == "vlink equiv: max_states must be at least 2, one per start\n"

@@ -17,7 +17,17 @@ from vlink.codec import (
     parse_gauss,
     to_diagram,
 )
-from vlink.diagram import EMPTY, UNKNOT, Diagram, DiagramError, canonical_string, validate
+from vlink.diagram import (
+    EMPTY,
+    UNKNOT,
+    Diagram,
+    DiagramError,
+    canonical_string,
+    disjoint_union,
+    mirror,
+    relabel,
+    validate,
+)
 
 from helpers import random_code_text
 
@@ -241,6 +251,7 @@ def test_json_fields_are_integers():
     for entry, message in (({**under, "over_in": float(under["over_in"])}, "JSON integer"),
                            ({**under, "under_out": "junk"}, "JSON integer"),
                            (missing, "under_out"),
+                           ({**under, "over_in": 4}, "names a dart out of range"),
                            ({**under, "under_out": under["under_in"]}, "not the dart opposite")):
         with pytest.raises(GaussCodeError, match=message):
             diagram_from_json({**obj, "over_under": [entry]})
@@ -282,6 +293,9 @@ def test_json_accepts_arbitrary_dart_labels():
     assert validate(relabeled) == []
     assert canonical_string(relabeled) == canonical_string(d)
     assert diagram_from_json(diagram_to_json(relabeled)) == relabeled
+    # edits of its code come back in to_diagram's layout
+    for change in (mirror, lambda x: relabel(x, [0]), lambda x: disjoint_union(x, x)):
+        assert change(relabeled) == change(d)
 
 
 def test_empty_and_unknot_diagrams():

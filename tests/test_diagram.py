@@ -32,6 +32,7 @@ from oracles import (
     _circuits,
     _sigma,
     find_isomorphism,
+    map_mirror,
     naive_canonical_string,
     naive_check_passes,
     naive_graph_components,
@@ -89,10 +90,11 @@ def test_stats_rejects_invalid():
     broken = Diagram(((0, 1, 2, 3),), (0, 1, 2, 3), ((0, 2),), (True,) * 4, 0)
     with pytest.raises(DiagramError):
         stats(broken)
-    # no over pair for vertex 0: mirror validates before it reads one
+    # no over pair for vertex 0: mirror and relabel validate before they read one
     broken = Diagram(((0, 1, 2, 3),), (2, 3, 0, 1), (), (True, True, False, False))
-    with pytest.raises(DiagramError):
-        mirror(broken)
+    for change in (mirror, lambda d: relabel(d, [0])):
+        with pytest.raises(DiagramError):
+            change(broken)
 
 
 def test_edge_count_is_twice_vertex_count():
@@ -131,6 +133,11 @@ def test_mirror_involution_and_writhe():
         assert validate(m) == []
         assert mirror(m) == d
         assert stats(m).writhe == -stats(d).writhe
+        # the mirror made in place on the map: over-in darts off slot 0
+        m = map_mirror(d)
+        assert validate(m) == []
+        assert map_mirror(m) == d
+        assert stats(m).writhe == -stats(d).writhe
 
 
 def test_disjoint_union_identity_and_counts():
@@ -155,7 +162,11 @@ def test_disjoint_union_stats_add():
 def _relabelled(d: Diagram, rng: random.Random) -> Diagram:
     order = list(range(d.n_vertices))
     rng.shuffle(order)
-    return relabel(d, order)
+    out = relabel(d, order)
+    # vertex order[i] is renamed i, and the circuits keep their passes
+    assert sorted(map(sorted, out.passes)) == sorted(
+        sorted((order.index(v), role, sgn) for v, role, sgn in row) for row in d.passes)
+    return out
 
 
 def _assert_matches_oracle(diagrams) -> int:
@@ -170,6 +181,11 @@ def test_canonical_matches_oracle_on_corpora():
     corpus = all_connected_diagrams(3) + random_diagrams(43, 400, max_v=6)
     corpus += [_relabelled(d, rng) for d in corpus]
     assert _assert_matches_oracle(corpus) == 2 * (851 + 400)
+    # mirror rebuilds the map from the mirrored code: isomorphic to the
+    # mirror made in place, and involutive field for field
+    for d in corpus:
+        assert canonical_string(mirror(d)) == canonical_string(map_mirror(d))
+        assert mirror(mirror(d)) == d
 
 
 def test_canonical_matches_oracle_on_multicomponent_links():

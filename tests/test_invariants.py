@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, disjoint_union, mirror, relabel, stats
+from vlink.diagram import EMPTY, UNKNOT, disjoint_union, mirror, relabel, stats
 from vlink.invariants import (
     DELTA,
     LaurentPoly,
@@ -21,7 +21,7 @@ from vlink.invariants import (
 from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
 
 from helpers import all_connected_diagrams, random_diagram, random_diagrams
-from oracles import linear_colorings, naive_bracket, naive_colorings
+from oracles import linear_colorings, map_mirror, naive_bracket, naive_colorings
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -100,6 +100,7 @@ def test_poly_text_format():
 
 def test_bracket_unknot_and_kinks():
     assert bracket(UNKNOT) == LaurentPoly.one()
+    assert bracket(EMPTY) == LaurentPoly.one()
     assert bracket(KINK_POS) == LaurentPoly.monomial(3, -1)
     assert bracket(KINK_NEG) == LaurentPoly.monomial(-3, -1)
 
@@ -153,9 +154,11 @@ def test_bracket_of_many_free_loops():
 
 def test_bracket_mirror_substitution():
     for d in random_diagrams(22, 25, max_v=4):
-        # one side through the independent enumerator
-        assert naive_bracket(mirror(d)) == bracket(d).substitute_inverse()
-        assert bracket(mirror(d)) == bracket(d).substitute_inverse()
+        # one side through the independent enumerator; map_mirror keeps
+        # the rotations, so its over-in darts are off slot 0
+        for m in (mirror(d), map_mirror(d)):
+            assert naive_bracket(m) == bracket(d).substitute_inverse()
+            assert bracket(m) == bracket(d).substitute_inverse()
 
 
 def test_bracket_disjoint_union_rule():

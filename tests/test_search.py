@@ -39,6 +39,17 @@ def test_bounds_validation():
         orbit(TREFOIL, SearchBounds(max_crossings=2))
     with pytest.raises(ValueError):
         SearchBounds(max_crossings=0).check()
+    with pytest.raises(ValueError, match="max_depth"):
+        SearchBounds(max_crossings=2, max_depth=0).check()
+    with pytest.raises(ValueError, match="max_states"):
+        SearchBounds(max_crossings=2, max_states=0).check()
+    # equivalent has two starts, so one state cannot hold its search;
+    # it refuses before the shortcut for equal inputs
+    for d in (DOUBLED, UNKNOT):
+        with pytest.raises(ValueError, match="at least 2"):
+            equivalent(d, UNKNOT, SearchBounds(4, max_states=1))
+    out = equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=2))
+    assert (out.verdict, out.explored, out.truncated) == ("unknown", 2, True)
 
 
 def test_orbit_contains_start():
@@ -366,6 +377,8 @@ def test_replay_rejects_steps_apply_move_rejects(monkeypatch):
     assert _replay(kink, [(MoveSite("R1-", (0,)), unknot)], unknot)
     stale = MoveSite("R1-", (1,))  # the kink has one crossing
     assert not _replay(kink, [(stale, unknot)], unknot)
+    # a step that applies but reaches another state than it names
+    assert not _replay(kink, [(MoveSite("R1-", (0,)), kink)], kink)
 
     loops = canonical_string(Diagram((), (), (), (), free_loops=2))
     curl = MoveSite("R1+", ("loop", 0), "lo")
@@ -575,6 +588,10 @@ def test_classify_reports_one_unresolved_pair_per_class_pair():
     reps = [cls[0] for cls in report.classes]
     assert len(reps) == 3
     assert report.unresolved == tuple(itertools.combinations(reps, 2))
+    lines = report.to_text().splitlines()
+    assert lines[lines.index("unresolved:"):] == [
+        "unresolved:", "  * ~? O1+ U1+", "  * ~? O1+ U1+ O2+ U2+",
+        "  O1+ U1+ ~? O1+ U1+ O2+ U2+", "violations: none"]
 
 
 def test_classify_merge_that_fails_to_replay_raises(monkeypatch):

@@ -58,17 +58,26 @@ def test_every_cache_has_a_size_bound():
     assert checked and found == []
 
 
+def _diagram_calls(tree):
+    """The calls of ``Diagram`` under ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and "Diagram" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 def test_moves_and_search_build_diagrams_only_from_gauss_codes():
-    # move results and search states come from diagram._from_passes (through
-    # moves._apply_unchecked and codec._from_canonical), never from fields
-    # assembled by hand
-    found = []
-    for name in ("moves.py", "search.py"):
-        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name)):
-            if isinstance(node, ast.Call) and "Diagram" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                found.append(f"{name}:{node.lineno}")
+    # move results, search states, mirrors, unions, relabellings and split
+    # components come from diagram._from_passes (through
+    # moves._apply_unchecked and codec._from_canonical or directly), never
+    # from fields assembled by hand: diagram.py calls Diagram only there
+    # and in its EMPTY and UNKNOT constants
+    found = [f"{name}:{node.lineno}" for name in ("moves.py", "search.py", "surface.py")
+             for node in _diagram_calls(ast.parse((SRC / name).read_text(), filename=name))]
     assert found == []
+    tree = ast.parse((SRC / "diagram.py").read_text(), filename="diagram.py")
+    # top-level statements that call Diagram, by name or assigned name
+    builders = [getattr(node, "name", None) or ast.unparse(node).split(" = ")[0]
+                for node in tree.body if _diagram_calls(node)]
+    assert builders == ["EMPTY", "UNKNOT", "_from_passes"]
 
 
 def test_dart_tables_come_from_the_one_scan():

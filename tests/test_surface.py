@@ -13,7 +13,7 @@ from vlink.surface import (
 )
 
 from helpers import random_diagram, random_diagrams
-from oracles import naive_faces
+from oracles import map_mirror, naive_faces
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
@@ -69,6 +69,7 @@ def test_genus_invariant_under_relabeling_and_mirror():
         relabeled = to_diagram(parse_gauss(canonical_string(d)))
         assert genus(relabeled).total == genus(d).total
         assert genus(mirror(d)).per_component == genus(d).per_component
+        assert genus(map_mirror(d)).per_component == genus(d).per_component
 
 
 def test_complexity_measure():
