@@ -329,9 +329,13 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
 
 def relabel(d: Diagram, vertex_order: list[int]) -> Diagram:
     """``d`` with vertex ``vertex_order[i]`` renamed ``i``, built by
-    :func:`_from_passes`."""
+    :func:`_from_passes`.  ``ValueError`` unless ``vertex_order`` is a
+    permutation of the vertices."""
+    rows = d.passes
+    if sorted(vertex_order) != list(range(d.n_vertices)):
+        raise ValueError(f"vertex_order is not a permutation of range({d.n_vertices})")
     name = {v: i for i, v in enumerate(vertex_order)}
-    return _from_passes([[(name[v], role, sgn) for v, role, sgn in row] for row in d.passes],
+    return _from_passes([[(name[v], role, sgn) for v, role, sgn in row] for row in rows],
                         d.free_loops)
 
 

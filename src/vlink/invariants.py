@@ -42,6 +42,15 @@ class StateSumLimitError(RuntimeError):
     """Diagram exceeds the configured state-sum crossing cap."""
 
 
+def check_state_sum_cap(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> None:
+    """Raise :class:`StateSumLimitError` when ``d`` has more crossings than
+    the state-sum cap: the one refusal of :func:`bracket` and of
+    ``search.invariant_table``."""
+    if d.n_vertices > max_crossings:
+        raise StateSumLimitError(
+            f"{d.n_vertices} crossings exceeds the state-sum cap {max_crossings}")
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in one variable A, integer coefficients
 # ---------------------------------------------------------------------------
@@ -197,9 +206,8 @@ def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPo
     read once at the end, where delta^(c + free loops - 1) is expanded.
     """
     require_valid(d)
+    check_state_sum_cap(d, max_crossings)
     n = d.n_vertices
-    if n > max_crossings:
-        raise StateSumLimitError(f"{n} crossings exceeds the state-sum cap {max_crossings}")
     if n == 0 and d.free_loops == 0:
         return LaurentPoly.one()
     edge, vertex_of = d.edge_pair, d.vertex_of

@@ -41,7 +41,7 @@ from .codec import _from_canonical
 from .diagram import (
     Diagram, DiagramError, _check_passes, _label, canonical_string, require_valid, stats,
 )
-from .invariants import Quandle, dihedral_quandle, f_poly, quandle_colorings
+from .invariants import Quandle, check_state_sum_cap, dihedral_quandle, f_poly, quandle_colorings
 from .moves import MoveError, MoveSite, _edit, apply_move, enumerate_moves
 from .surface import genus
 
@@ -244,18 +244,32 @@ def orbit(d: Diagram, bounds: SearchBounds) -> OrbitResult:
     return OrbitResult(frozenset(search.parents), search.budget.truncated, len(search.parents))
 
 
-def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, str], ...]:
-    """Named invariant values used for Distinguished verdicts, as strings.
+def invariant_rows(quandles=DEFAULT_QUANDLES):
+    """The invariants a Distinguished verdict may name, in report order:
+    ``(name, function of a valid diagram)`` rows.
 
-    ``f_poly`` is computed first so that a diagram above the state-sum
-    cap fails before any coloring count is spent on it.
+    Each row reads only the signed Gauss code, on which R2+stab acts as
+    R2+ does, so each move that keeps a row's value under R2+ keeps it
+    under R2+stab (Kuperberg, What is a virtual link?, 2003).
     """
-    f = str(f_poly(d))
-    rows = [("components", str(stats(d).components))]
-    for name, q in quandles:
-        rows.append((f"colorings[{name}]", str(quandle_colorings(d, q))))
-    rows.append(("f_poly", f))
-    return tuple(rows)
+    return (
+        # every move maps each circuit to one circuit (Kauffman, Virtual knot theory, 1999)
+        ("components", lambda d: stats(d).components),
+        # colorings count maps from the link quandle, an invariant (Joyce 1982; Kauffman 1999)
+        *((f"colorings[{name}]", functools.partial(quandle_colorings, q=q))
+          for name, q in quandles),
+        # the writhe-normalized bracket is invariant (Kauffman, Virtual knot theory, 1999)
+        ("f_poly", f_poly),
+    )
+
+
+def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, str], ...]:
+    """Each row of :func:`invariant_rows` with its value on ``d`` as a
+    string.  An invalid diagram raises ``DiagramError``, and one above the
+    state-sum cap ``StateSumLimitError``, before any row is computed."""
+    require_valid(d)
+    check_state_sum_cap(d)
+    return tuple((name, str(value(d))) for name, value in invariant_rows(quandles))
 
 
 def _replay(start_cs: str, path, end_cs: str) -> bool:
@@ -393,13 +407,14 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     Every merge is certified by replaying its paths.  Each pair of
     classes left apart within a group is reported unresolved, and each
     corpus member of another group that a class's orbit reaches is
-    reported as a violation.
+    reported as a violation.  Every diagram is validated, and checked
+    against the bounds, before any is labelled.
     """
+    diagrams = [require_valid(d) for d in diagrams]
+    bounds.check(*diagrams)
     entries: dict[str, Diagram] = {}
     for d in diagrams:
-        require_valid(d)
         entries.setdefault(canonical_string(d), d)
-    bounds.check(*entries.values())
     keys = sorted(entries)
     tables = {cs: invariant_table(entries[cs], quandles) for cs in keys}
 

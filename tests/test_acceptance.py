@@ -11,22 +11,16 @@ import pytest
 
 from vlink.codec import emit_gauss, from_diagram, parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, canonical_string, relabel, stats, validate
-from vlink.invariants import (
-    LaurentPoly,
-    bracket,
-    dihedral_quandle,
-    f_poly,
-    quandle_colorings,
-)
+from vlink.invariants import LaurentPoly, bracket
 from vlink.moves import ALL_KINDS, PLAIN_KINDS, _apply_unchecked, enumerate_moves
-from vlink.search import SearchBounds, equivalent, invariant_table, minimize, orbit
+from vlink.search import (
+    SearchBounds, equivalent, invariant_rows, invariant_table, minimize, orbit,
+)
 from vlink.surface import genus
 
 from helpers import all_connected_diagrams, random_diagram
 from oracles import every_site, naive_bracket, naive_faces
 
-R3Q = dihedral_quandle(3)
-R5Q = dihedral_quandle(5)
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
 VT = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))
 
@@ -59,17 +53,33 @@ def exhaustive_corpus():
     return all_connected_diagrams(3)
 
 
+CAP4 = SearchBounds(max_crossings=4, max_states=60000)
+
+
+@pytest.fixture(scope="session")
+def cap4_orbits(exhaustive_corpus):
+    """The cap-4 orbits of the exhaustive corpus, each searched once, from
+    its first member in corpus order."""
+    seen: set[str] = set()
+    orbits = []
+    for d in exhaustive_corpus:
+        if canonical_string(d) not in seen:
+            res = orbit(d, CAP4)
+            seen.update(res.states)
+            orbits.append(res)
+    return orbits
+
+
 @pytest.mark.slow
 def test_criterion_1_move_invariance(random_corpus):
-    """f_poly and R3/R5 colorings unchanged by every move site, repeats included;
-    bracket changes by exactly -A^(+-3) under R1."""
+    """Every row of ``invariant_rows`` unchanged by every move site, repeats
+    included; bracket changes by exactly -A^(+-3) under R1."""
     t0 = time.time()
     minus_a3 = {1: LaurentPoly.monomial(3, -1), -1: LaurentPoly.monomial(-3, -1)}
+    rows = invariant_rows()
     n_sites = 0
     for k, d in enumerate(random_corpus):
-        f0 = f_poly(d)
-        c3 = quandle_colorings(d, R3Q)
-        c5 = quandle_colorings(d, R5Q)
+        values = [value(d) for _, value in rows]
         b0 = bracket(d)
         w0 = stats(d).writhe
         # the genus-changing stabilizations are swept too, on the sizes
@@ -78,16 +88,16 @@ def test_criterion_1_move_invariance(random_corpus):
         for site in every_site(d, kinds):
             d2 = _apply_unchecked(d, site)
             n_sites += 1
-            assert f_poly(d2) == f0, (canonical_string(d), site)
-            assert quandle_colorings(d2, R3Q) == c3, (canonical_string(d), site)
-            assert quandle_colorings(d2, R5Q) == c5, (canonical_string(d), site)
+            for (name, value), v0 in zip(rows, values):
+                assert value(d2) == v0, (name, canonical_string(d), site)
             if site.kind in ("R1+", "R1-"):
                 dw = stats(d2).writhe - w0
                 assert abs(dw) == 1
                 assert bracket(d2) == minus_a3[dw] * b0, (canonical_string(d), site)
     assert len(random_corpus) >= 1000
     print(f"\ncriterion 1: PASS - {len(random_corpus)} diagrams, {n_sites} move sites, "
-          f"f/colorings unchanged, R1 factor exact ({time.time()-t0:.0f}s)")
+          f"{', '.join(name for name, _ in rows)} unchanged, R1 factor exact "
+          f"({time.time()-t0:.0f}s)")
 
 
 def test_criterion_2_euler_identity(random_corpus):
@@ -138,7 +148,7 @@ def _check_orbit_consistency(states, bounds, minimize_budget):
 
 
 @pytest.mark.slow
-def test_criterion_4_unique_representative_consistency(exhaustive_corpus):
+def test_criterion_4_unique_representative_consistency(cap4_orbits):
     """Unique-representative consistency: within every fully closed orbit,
     all members share invariants and the same minimal witness.
 
@@ -147,24 +157,18 @@ def test_criterion_4_unique_representative_consistency(exhaustive_corpus):
     representative seeds (the cap-5 classes run to tens of thousands of
     states, so witness re-derivation there is sampled)."""
     t0 = time.time()
-    bounds4 = SearchBounds(max_crossings=4, max_states=60000)
-    seen: set[str] = set()
-    n_orbits = n_closed = n_members_checked = 0
+    n_orbits, n_closed, n_members_checked = len(cap4_orbits), 0, 0
     largest = 0
-    for d in exhaustive_corpus:
-        if canonical_string(d) in seen:
-            continue
-        res = orbit(d, bounds4)
-        n_orbits += 1
-        seen.update(res.states)
+    for res in cap4_orbits:
         if res.truncated:
             continue
         n_closed += 1
         largest = max(largest, res.explored)
         n_members_checked += _check_orbit_consistency(
-            res.states, bounds4, minimize_budget=6 if res.explored <= 120 else 3)
+            res.states, CAP4, minimize_budget=6 if res.explored <= 120 else 3)
     assert n_closed == n_orbits, "every cap-4 orbit of the corpus should close"
     assert n_closed >= 100 and largest >= 1000
+    n_states = len(frozenset().union(*(res.states for res in cap4_orbits)))
     part1 = time.time() - t0
 
     t0 = time.time()
@@ -176,7 +180,7 @@ def test_criterion_4_unique_representative_consistency(exhaustive_corpus):
         part2_members += _check_orbit_consistency(
             res.states, bounds5, minimize_budget=4 if res.explored <= 2000 else 2)
     print(f"\ncriterion 4: PASS - cap-4: {n_closed} closed orbits over "
-          f"{len(seen)} states (largest {largest}), witnesses re-derived from "
+          f"{n_states} states (largest {largest}), witnesses re-derived from "
           f"{n_members_checked} members ({part1:.0f}s); cap-5 seeds closed and "
           f"consistent, {part2_members} witnesses re-derived ({time.time()-t0:.0f}s)")
 

@@ -122,6 +122,9 @@ def test_classify_report(files):
     assert "diagrams: 3" in out
     assert "classes: 3" in out
     assert "violations: none" in out
+    # one invariants line, its rows in report order
+    assert ("\n  O1+ U2+ O3+ U1+ O2+ U3+ :: components=1 colorings[R3]=9 colorings[R5]=5 "
+            "f_poly=-A^-16 + A^-12 + A^-4\n") in out
 
 
 def test_quandle_file_argument(files, tmp_path):

@@ -95,6 +95,10 @@ def test_stats_rejects_invalid():
     for change in (mirror, lambda d: relabel(d, [0])):
         with pytest.raises(DiagramError):
             change(broken)
+    # an order that is not a permutation of the vertices
+    for order in ([0, 1], [0, 1, 5], [0, 0, 1], [-1, 0, 1], [5, 0, 1, 2], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            relabel(TREFOIL, order)
 
 
 def test_edge_count_is_twice_vertex_count():

@@ -19,6 +19,7 @@ from vlink.invariants import (
     trivial_quandle,
 )
 from vlink.moves import ALL_KINDS, _apply_unchecked, enumerate_moves
+from vlink.search import invariant_rows
 
 from helpers import all_connected_diagrams, random_diagram, random_diagrams
 from oracles import linear_colorings, map_mirror, naive_bracket, naive_colorings
@@ -290,13 +291,14 @@ def test_colorings_rejects_bad_quandle():
 
 def test_move_invariance_spot():
     rng = random.Random(44)
+    rows = invariant_rows()
     for _ in range(6):
         d = random_diagram(rng, max_v=4)
-        f0, c0 = f_poly(d), quandle_colorings(d, R3Q)
+        values = [value(d) for _, value in rows]
         for site in enumerate_moves(d, ALL_KINDS)[:40]:
             d2 = _apply_unchecked(d, site)
-            assert f_poly(d2) == f0
-            assert quandle_colorings(d2, R3Q) == c0
+            for (name, value), v0 in zip(rows, values):
+                assert value(d2) == v0, (name, site)
 
 
 def test_bracket_r1_factor():

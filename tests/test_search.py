@@ -8,7 +8,7 @@ import pytest
 
 from vlink.codec import MAX_FREE_LOOPS, GaussCodeError, _from_canonical, parse_gauss, to_diagram
 from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, stats
-from vlink.invariants import f_poly, quandle_colorings, dihedral_quandle
+from vlink.invariants import StateSumLimitError, dihedral_quandle
 import vlink.search
 from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked
 from vlink.search import (
@@ -34,9 +34,20 @@ KINK = to_diagram(parse_gauss("O1+ U1+"))
 DOUBLED = to_diagram(parse_gauss("O1+ U1+ O2+ U2+"))
 
 
-def test_bounds_validation():
+def test_bounds_validation(monkeypatch):
     with pytest.raises(ValueError):
         orbit(TREFOIL, SearchBounds(max_crossings=2))
+    # classify refuses a corpus above the cap before it labels any member,
+    # and an invalid member before the bounds
+    labelled = []
+    monkeypatch.setattr(vlink.search, "canonical_string",
+                        lambda d: labelled.append(d) or canonical_string(d))
+    with pytest.raises(ValueError, match="above max_crossings=2"):
+        classify_corpus([UNKNOT, TREFOIL], SearchBounds(max_crossings=2))
+    assert labelled == []
+    broken = Diagram(((0, 1, 2, 3),), (2, 3, 0, 1), (), (True, True, False, False))
+    with pytest.raises(DiagramError):
+        classify_corpus([TREFOIL, broken], SearchBounds(max_crossings=2))
     with pytest.raises(ValueError):
         SearchBounds(max_crossings=0).check()
     with pytest.raises(ValueError, match="max_depth"):
@@ -446,6 +457,28 @@ def test_distinguished_values_recompute():
     for name, v1, v2 in out.distinguishers:
         assert t1[name] == v1
         assert t2[name] == v2
+    # the report order: components, one row per quandle in the caller's
+    # order, then f_poly
+    assert tuple(t1) == ("components", "colorings[R3]", "colorings[R5]", "f_poly")
+    r3, r5 = dihedral_quandle(3), dihedral_quandle(5)
+    names = tuple(name for name, _ in invariant_table(TREFOIL, (("R5", r5), ("R3", r3))))
+    assert names == ("components", "colorings[R5]", "colorings[R3]", "f_poly")
+
+
+def test_invariant_table_refuses_before_any_row(monkeypatch):
+    # the state-sum cap is checked once, before any row is computed; an
+    # invalid map is refused first, whatever its size
+    def fail(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(vlink.search, "quandle_colorings", fail)
+    monkeypatch.setattr(vlink.search, "f_poly", fail)
+    torus = to_diagram(parse_gauss(" ".join(f"{'OU'[k % 2]}{k % 21 + 1}+" for k in range(42))))
+    with pytest.raises(StateSumLimitError, match="^21 crossings exceeds the state-sum cap 20$"):
+        invariant_table(torus)
+    broken = Diagram(torus.rotations, torus.edge_pair, (), torus.inbound)
+    with pytest.raises(DiagramError):
+        invariant_table(broken)
 
 
 def test_unknown_when_bounds_too_tight():

@@ -136,6 +136,25 @@ def test_listing_labels_in_one_loop():
     assert not any(isinstance(node, ast.Try) for node in ast.walk(listing))
 
 
+def test_invariants_are_listed_once():
+    # outside invariants.py, f_poly and quandle_colorings are used only in
+    # the body of search.invariant_rows, so the invariant list lives in one
+    # place; an import binds a name without using it
+    found, n_rows = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "invariants.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rows = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "invariant_rows" and path.name == "search.py"]
+        n_rows += len(rows)
+        allowed = {id(node) for row in rows for node in ast.walk(row)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if getattr(node, "id", getattr(node, "attr", None)) in (
+                      "f_poly", "quandle_colorings") and id(node) not in allowed]
+    assert n_rows == 1 and found == []
+
+
 def test_benchmark_tracer_installs():
     # the benchmark's tracer rebinds library names such as
     # canonical_string.cache_info, surface.trace_faces and
