@@ -10,17 +10,16 @@ genus-changing transitions would be unreachable.
 
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
-search shares.  A listing holds the state's minimize rank and its
-successors, labelled in order only as far as some search has read them;
-a label that fails appends nothing, and a complete listing releases the
-representative (see ``_Listing``).  The successors come from
-``moves.enumerate_moves``, which lists each distinct move once: a site
-it leaves out repeats the state of a site it lists earlier, so leaving
-it out changes no result.  Each is labelled from ``moves._edit``'s Gauss
-code, checked by ``diagram._check_passes``, without building a
-``Diagram``.  A search reads each state's rank when it lists the state,
-so ``minimize`` builds a listing again only for the states a truncated
-search reached but never listed, whatever the memo has evicted.
+search shares and which holds only listings that a search reads.  A
+listing holds the state's minimize rank and its successors, labelled in
+order only as far as some search has read them (see ``_Listing``).  The
+successors come from ``moves.enumerate_moves``, which lists each
+distinct move once: a site it leaves out repeats the state of a site it
+lists earlier, so leaving it out changes no result.  Each is labelled
+from ``moves._edit``'s Gauss code, checked by ``diagram._check_passes``,
+without building a ``Diagram``.  A search reads each state's rank when
+it lists the state; ``minimize`` ranks the states a truncated search
+reached but never listed from their representatives, outside the memo.
 Replay does not use the memo: it builds each step's representative
 afresh, applies the step with ``moves.apply_move``, which checks the
 site against the listing and validates the result, and labels the result.
@@ -104,30 +103,34 @@ class MinimizeResult:
 _GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
 
 
+def _rank(rep: Diagram, cs: str):
+    """(total genus, crossings, canonical string) of state ``cs`` from its
+    representative; genus and crossings do not change under isomorphism."""
+    return (genus(rep).total, rep.n_vertices, cs)
+
+
 class _Listing:
     """One state's minimize rank and its (site, canonical result) pairs.
 
-    The rank is read from the representative when the listing is built; a
-    search reads it when it lists the state, before its pairs.  At the
-    first read, the listing takes the representative's sites for the moves
-    that fit the crossing cap from ``enumerate_moves``, which keeps the
-    first site giving each state, so searches reach the same states
-    through the same first sites, and record the same parents and paths,
-    as with every site applied.  A reader that reaches index ``i`` of
-    ``pairs`` labels ``sites[i]`` there, so a search whose budget runs out
-    part-way through the successors labels no more of them than it reads.
-    A label that raises, or is interrupted, appends nothing, and the next
-    reader labels that site again.  When the last site is labelled, the
+    Built only where a search lists the state or ``equivalent`` walks
+    back a path, both of which read it at once, it takes the sites of the
+    moves that fit the crossing cap from ``enumerate_moves``, which keeps
+    the first site giving each state, so searches record the same parents
+    and paths as with every site applied.  A reader that reaches index
+    ``i`` of ``pairs`` labels ``sites[i]`` there, so a search whose budget
+    runs out part-way labels no more successors than it reads.  A label
+    that raises, or is interrupted, appends nothing, and the next reader
+    labels that site again.  When the last site is labelled, the
     representative and the sites are released; readers then read ``pairs``.
     """
 
     def __init__(self, cs: str, max_crossings: int):
         rep = _from_canonical(cs)
-        # (total genus, crossings, canonical string); genus and crossings
-        # do not change under isomorphism
-        self.rank = (genus(rep).total, rep.n_vertices, cs)
+        self.rank = _rank(rep, cs)
         self.pairs: list[tuple[MoveSite, str]] = []
-        self._rep, self._cap, self._sites = rep, max_crossings, None
+        room = max_crossings - rep.n_vertices
+        self._rep, self._sites = rep, enumerate_moves(
+            rep, {kind for kind, growth in _GROWTH.items() if growth <= room})
 
     def __iter__(self):
         pairs, i = self.pairs, 0
@@ -136,10 +139,6 @@ class _Listing:
                 yield pairs[i]
                 i += 1
                 continue
-            if self._sites is None:
-                room = self._cap - self._rep.n_vertices
-                self._sites = enumerate_moves(
-                    self._rep, {kind for kind, growth in _GROWTH.items() if growth <= room})
             if i < len(self._sites):
                 site = self._sites[i]
                 rows, free_loops = _edit(self._rep, site)
@@ -335,11 +334,11 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
 
 
 def _minimal_orbit(d: Diagram, bounds: SearchBounds):
-    """The search of ``d``'s orbit and its least (total genus, crossings,
-    canonical string)."""
+    """The search of ``d``'s orbit and its least ``_rank``; a state the
+    search reached but never listed is ranked with no listing."""
     search = _Search(canonical_string(d), _Budget(bounds, 1))
     search.run()
-    return search, min([search.least, *(_successors(cs, bounds.max_crossings).rank
+    return search, min([search.least, *(_rank(_from_canonical(cs), cs)
                                         for cs in search.frontier)])
 
 
@@ -403,12 +402,14 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     invariant table.  In sorted order, a diagram that the orbit of an
     earlier class of its group contains joins that class; any other
     diagram gets one orbit search, which also yields its class's witness,
-    and joins every earlier class of its group whose orbit it meets.
-    Every merge is certified by replaying its paths.  Each pair of
-    classes left apart within a group is reported unresolved, and each
-    corpus member of another group that a class's orbit reaches is
-    reported as a violation.  Every diagram is validated, and checked
-    against the bounds, before any is labelled.
+    and joins every earlier class of its group whose orbit it meets.  A
+    class is its members and one map of paths, its first search's
+    parents, to which each class it absorbs adds the states it lacks;
+    every walk back ends at a member.  Every merge is certified by
+    replaying its paths.  Each pair of classes left apart within a group
+    is reported unresolved, and each corpus member of another group that
+    a class's orbit reaches is reported as a violation.  Every diagram is
+    validated, and checked against the bounds, before any is labelled.
     """
     diagrams = [require_valid(d) for d in diagrams]
     bounds.check(*diagrams)
@@ -420,30 +421,31 @@ def classify_corpus(diagrams, bounds: SearchBounds,
 
     explored = 0
     witness_of: dict[str, str] = {}
-    # per invariant table, its classes as (members, searches), least member first
-    groups: dict[tuple, list[tuple[list[str], list[_Search]]]] = {}
+    # per invariant table, its classes as (members, paths), least member first
+    groups: dict[tuple, list[tuple[list[str], dict]]] = {}
     for cs in keys:
         group = groups.setdefault(tables[cs], [])
-        found = next(((cls, s) for cls in group for s in cls[1] if cs in s.parents), None)
-        if found is not None:
-            _certify(found[1].parents, cs)
-            found[0][0].append(cs)
+        home = next((cls for cls in group if cs in cls[1]), None)
+        if home is not None:
+            _certify(home[1], cs)
+            home[0].append(cs)
             continue
         search, (_, _, witness_of[cs]) = _minimal_orbit(entries[cs], bounds)
         explored += len(search.parents)
         met = []
         for cls in group:
-            meet = next(((s, m) for s in cls[1] for m in search.parents if m in s.parents), None)
+            meet = next((m for m in search.parents if m in cls[1]), None)
             if meet is not None:
-                _certify(meet[0].parents, meet[1])
-                _certify(search.parents, meet[1])
+                _certify(cls[1], meet)
+                _certify(search.parents, meet)
                 met.append(cls)
-        group.append(([cs], [search]))
-        # the earliest class met keeps its place and its least member
+        group.append(([cs], search.parents))
+        # the earliest class met keeps its place, its least member and its paths
         home, *rest = met + group[-1:]
         for cls in rest:
             home[0].extend(cls[0])
-            home[1].extend(cls[1])
+            for state, step in cls[1].items():
+                home[1].setdefault(state, step)
             group.remove(cls)
 
     classes = tuple(sorted(tuple(sorted(members)) for group in groups.values()
@@ -453,13 +455,11 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     # refute an invariant; such a member is certified and reported
     violations = []
     for table, group in groups.items():
-        for members, searches in group:
-            for cs in (k for k in keys if tables[k] != table):
-                s = next((s for s in searches if cs in s.parents), None)
-                if s is not None:
-                    _certify(s.parents, cs)
-                    violations.append(
-                        f"equivalent diagrams with differing invariants: {members[0]} vs {cs}")
+        for members, paths in group:
+            for cs in (k for k in keys if tables[k] != table and k in paths):
+                _certify(paths, cs)
+                violations.append(
+                    f"equivalent diagrams with differing invariants: {members[0]} vs {cs}")
 
     return ClassifyReport(
         classes=classes,

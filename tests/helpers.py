@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -45,11 +46,18 @@ def random_diagrams(seed: int, count: int, **kw) -> list[Diagram]:
 
 def all_connected_diagrams(max_v: int) -> list[Diagram]:
     """Every connected diagram with at most max_v crossings, up to
-    isomorphism, plus the crossing-free unknot.
+    isomorphism, plus the crossing-free unknot, sorted by canonical string.
 
-    Generated by brute force over token arrangements in first-traversal
-    index order, then deduplicated by canonical string.
+    Each caller gets a list of its own; the diagrams are built once per
+    session (see ``_connected_diagrams``).
     """
+    return list(_connected_diagrams(max_v))
+
+
+@functools.lru_cache(maxsize=4)
+def _connected_diagrams(max_v: int) -> tuple[Diagram, ...]:
+    """Generated by brute force over token arrangements in first-traversal
+    index order, then deduplicated by canonical string."""
     out: dict[str, Diagram] = {}
     unknot = Diagram((), (), (), (), free_loops=1)
     out[canonical_string(unknot)] = unknot
@@ -81,4 +89,4 @@ def all_connected_diagrams(max_v: int) -> list[Diagram]:
                     if len(d.graph_components) != 1:
                         continue
                     out.setdefault(canonical_string(d), d)
-    return [out[k] for k in sorted(out)]
+    return tuple(out[k] for k in sorted(out))

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -15,6 +16,7 @@ from vlink.search import (
     SearchBounds,
     SearchError,
     _Listing,
+    _minimal_orbit,
     _replay,
     _successors,
     classify_corpus,
@@ -605,6 +607,17 @@ def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
     assert len(calls) == 1003
 
 
+def test_ranking_an_unlisted_state_builds_no_listing():
+    # a truncated search ranks the states it reached but never listed from
+    # their representatives: the memo holds only the listings it read
+    _clear_memos()
+    search, rank = _minimal_orbit(UNKNOT, SearchBounds(4, max_states=50))
+    assert search.frontier
+    assert _successors.cache_info().currsize == len(search.parents) - len(search.frontier)
+    best, g, v, _, _ = naive_minimize(search.parents, True)
+    assert rank == (g, v, best)
+
+
 def test_classify_merges_when_orbits_meet():
     bounds = SearchBounds(max_crossings=3, max_states=10)
     # the unknot's truncated orbit lacks the doubled kink; the two orbits meet
@@ -613,6 +626,29 @@ def test_classify_merges_when_orbits_meet():
     assert report.classes == ((canonical_string(UNKNOT), canonical_string(DOUBLED)),)
     assert report.unresolved == ()
     assert report.witnesses == ((canonical_string(UNKNOT), canonical_string(UNKNOT)),)
+
+
+def test_classify_joins_through_the_paths_of_a_merged_class():
+    # among the three diagrams with f_poly 1, the second's orbit meets the
+    # first's and the two classes merge; the third's orbit meets only states
+    # the absorbed class brought, so it joins through that class's paths
+    corpus = [to_diagram(parse_gauss(text)) for text in (
+        "O1+ U2- U3- O2- O3- U1+", "O1+ U1+ U2- U3- O2- O3-", "O1+ O2+ U3+ O3+ U1+ U2+",
+        "O1+ U1+ O2+ U3+ O3+ U2+", "O1+ O2+ U2+ O3+ U3+ U1+", "O1+ O2+ O3- U2+ U3- U1+")]
+    report = classify_corpus(corpus, SearchBounds(4, max_states=30))
+    assert len(report.classes) == 3
+    assert report.unresolved == ()
+    assert report.to_text().endswith("unresolved: none\nviolations: none")
+
+
+def test_classify_report_of_the_v3_corpus_at_cap_4(corpus_v3):
+    # the whole report, pinned: classes, witnesses, invariants, unresolved
+    # pairs and violations
+    report = classify_corpus(corpus_v3, SearchBounds(4, max_states=60000))
+    assert (len(report.classes), len(report.unresolved), report.explored) == (275, 684, 21853)
+    assert report.violations == ()
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == (
+        "4608a0f88cf8e62a16f6226a9d9a541af6c4f27e16abb7f6a735b0ecaf2c0f77")
 
 
 def test_classify_reports_one_unresolved_pair_per_class_pair():

@@ -136,6 +136,26 @@ def test_listing_labels_in_one_loop():
     assert not any(isinstance(node, ast.Try) for node in ast.walk(listing))
 
 
+def test_listings_are_built_only_where_they_are_read():
+    # in search.py the memo of listings is called only where a search
+    # lists a state and where equivalent walks back a path; a state that
+    # is only ranked gets no listing
+    tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_successors":
+                callers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    assert sorted(callers) == ["_Search.layer", "equivalent"]
+
+
 def test_invariants_are_listed_once():
     # outside invariants.py, f_poly and quandle_colorings are used only in
     # the body of search.invariant_rows, so the invariant list lives in one
