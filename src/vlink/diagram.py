@@ -406,15 +406,17 @@ def canonical_string(d: Diagram) -> str:
     invalid diagram as :func:`require_valid` does.  The cache holds up
     to 2**17 diagrams.
     """
-    return _label(d.passes, d.n_vertices, d.free_loops)
+    return _label(d.passes, d.n_vertices, d.free_loops)[0]
 
 
-def _label(tables, n_vertices: int, free_loops: int) -> str:
+def _label(tables, n_vertices: int, free_loops: int):
     """:func:`canonical_string` of the code with per-circuit ``(vertex,
-    role, sign)`` rows ``tables`` on vertices ``0 .. n_vertices-1``."""
+    role, sign)`` rows ``tables`` on vertices ``0 .. n_vertices-1``, and
+    the canonical index of each vertex: a map from vertex to its crossing
+    name in that string, which is its index in decimal."""
     loops = " / ".join("*" * free_loops)
     if not tables:
-        return loops
+        return loops, {}
     labels = list(map(str, range(1, n_vertices + 1)))
     # Every serialization opens with a role, the name 1 and a sign, and
     # "O1+" < "O1-" < "U1+" < "U1-".  A crossing's over pass carries its
@@ -423,43 +425,51 @@ def _label(tables, n_vertices: int, free_loops: int) -> str:
     openers = [[i for i, p in enumerate(row) if p[1] == "O" and p[2] == "+"] for row in tables]
     if not any(openers):
         openers = [[i for i, p in enumerate(row) if p[1] == "O"] for row in tables]
-    best = None
+    # A piece is a separator, a role, a name and a sign; it holds one sign,
+    # at its end, so no piece is a proper prefix of another, and piece
+    # lists compare as the strings they join into.
+    pieces: list[str] = []
+    best = best_named = None
 
-    def extend(remaining: list[int], prefix: str, names: dict[int, str], tied: bool) -> None:
-        # prefix serializes the circuits placed so far, whose crossings
-        # names holds; tied means it equals best[:len(prefix)], otherwise
-        # it is smaller or there is no best yet
-        nonlocal best
-        lead = " / " if prefix else ""
+    def extend(remaining: list[int], names: dict[int, str], tied: bool) -> None:
+        # pieces[:depth] serializes the circuits placed so far, whose
+        # crossings names holds; tied means it equals best[:depth],
+        # otherwise it is smaller or there is no best yet
+        nonlocal best, best_named
+        depth = len(pieces)
+        lead = " / " if depth else ""
         for k, ci in enumerate(remaining):
             rest = remaining[:k] + remaining[k + 1:]
             row = tables[ci]
             size = len(row)
             cycle = row + row
-            for start in range(size) if prefix else openers[ci]:
+            for start in range(size) if depth else openers[ci]:
+                del pieces[depth:]
                 named = names.copy()
-                text, same, sep = prefix, tied, lead
+                same, sep = tied, lead
                 for v, role, sgn in cycle[start:start + size]:
                     label = named.get(v)
                     if label is None:
                         label = named[v] = labels[len(named)]
                     piece = f"{sep}{role}{label}{sgn}"
                     sep = " "
-                    if same and not best.startswith(piece, len(text)):
-                        if piece > best[len(text):len(text) + len(piece)]:
-                            break
-                        same = False
-                    text += piece
+                    if same:
+                        other = best[len(pieces)]
+                        if piece != other:
+                            if piece > other:
+                                break
+                            same = False
+                    pieces.append(piece)
                 else:
                     before = best
                     if rest:
-                        extend(rest, text, named, same)
+                        extend(rest, named, same)
                     elif not same:
-                        best = text
+                        best, best_named = pieces.copy(), named
                     if best is not before:
                         tied = True  # the new best extends this node's prefix
 
-    extend(list(range(len(tables))), "", {}, False)
+    extend(list(range(len(tables))), {}, False)
     del extend  # the closure refers to itself; free it without the cycle collector
-    return f"{best} / {loops}" if loops else best
-
+    text = "".join(best)
+    return (f"{text} / {loops}" if loops else text), best_named

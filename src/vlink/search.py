@@ -11,15 +11,21 @@ genus-changing transitions would be unreachable.
 Each distinct state's representative is built once per crossing cap
 while its listing stays in the bounded memo ``_successors``, which every
 search shares and which holds only listings that a search reads.  A
-listing holds the state's minimize rank and its successors, labelled in
-order only as far as some search has read them (see ``_Listing``).  The
-successors come from ``moves.enumerate_moves``, which lists each
-distinct move once: a site it leaves out repeats the state of a site it
-lists earlier, so leaving it out changes no result.  Each is labelled
-from ``moves._edit``'s Gauss code, checked by ``diagram._check_passes``,
-without building a ``Diagram``.  A search reads each state's rank when
-it lists the state; ``minimize`` ranks the states a truncated search
-reached but never listed from their representatives, outside the memo.
+listing holds the state's successors, labelled in order only as far as
+some search has read them (see ``_Listing``).  The successors come from
+``moves.enumerate_moves``, which lists each distinct move once: a site
+it leaves out repeats the state of a site it lists earlier, so leaving
+it out changes no result.  Each is labelled from ``moves._edit``'s Gauss
+code, checked by ``diagram._check_passes``, without building a
+``Diagram``, except an R1- or R2- that undoes a recorded up move: every
+R1+, R2+ and R2+stab result, when labelled, records which state its R1-
+or R2- on the crossings the move added gives (the state it came from),
+and that down move is read from the record, not labelled.  Records sit
+in the bounded store ``_undone`` and are popped when read; a missing
+record costs only a label.  Only ``minimize`` and ``classify_corpus``
+rank states: their search reads each state's rank when it lists the
+state, and ranks the states it reached but never listed from their
+representatives, outside the memo.
 Replay does not use the memo: it builds each step's representative
 afresh, applies the step with ``moves.apply_move``, which checks the
 site against the listing and validates the result, and labels the result.
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .codec import _from_canonical
@@ -110,7 +117,8 @@ def _rank(rep: Diagram, cs: str):
 
 
 class _Listing:
-    """One state's minimize rank and its (site, canonical result) pairs.
+    """One state's (site, canonical result) pairs and, when read, its
+    minimize rank.
 
     Built only where a search lists the state or ``equivalent`` walks
     back a path, both of which read it at once, it takes the sites of the
@@ -122,15 +130,30 @@ class _Listing:
     that raises, or is interrupted, appends nothing, and the next reader
     labels that site again.  When the last site is labelled, the
     representative and the sites are released; readers then read ``pairs``.
+
+    An R1- or R2- site that undoes an up move some listing labelled is
+    read, not labelled: labelling the up move's result records, in
+    ``_undone``, which state the result's R1- on the new crossing or R2-
+    on the two new crossings gives, and the site pops that record.  That
+    state is the one the move came from, whatever the curl variant or the
+    bigon, since excising the passes the move spliced in restores its
+    code; so a record only saves a label, and the pairs are the same.
     """
 
     def __init__(self, cs: str, max_crossings: int):
         rep = _from_canonical(cs)
-        self.rank = _rank(rep, cs)
+        self._cs = cs
         self.pairs: list[tuple[MoveSite, str]] = []
         room = max_crossings - rep.n_vertices
         self._rep, self._sites = rep, enumerate_moves(
             rep, {kind for kind, growth in _GROWTH.items() if growth <= room})
+
+    @functools.cached_property
+    def rank(self):
+        """The state's ``_rank``, from the representative while the
+        listing keeps it."""
+        rep = self._rep if self._rep is not None else _from_canonical(self._cs)
+        return _rank(rep, self._cs)
 
     def __iter__(self):
         pairs, i = self.pairs, 0
@@ -141,16 +164,54 @@ class _Listing:
                 continue
             if i < len(self._sites):
                 site = self._sites[i]
-                rows, free_loops = _edit(self._rep, site)
-                pairs.append((site, _label(rows, _check_passes(rows), free_loops)))
+                pairs.append((site, self._result(site)))
             if len(pairs) == len(self._sites):
                 self._rep = self._sites = None
         yield from pairs[i:]
+
+    def _result(self, site: MoveSite) -> str:
+        """The canonical string of ``site``'s result: read from the record
+        of an up move it undoes, or labelled from ``_edit``'s code."""
+        rep, growth = self._rep, _GROWTH[site.kind]
+        if growth < 0:
+            # the removed crossings, in the representative's vertex order: a
+            # bigon face starts at its least dart, so its vertices come in order
+            if growth == -1:
+                key = (self._cs, *site.where)
+            else:
+                x, y = site.where
+                key = (self._cs, rep.vertex_of[x], rep.vertex_of[y])
+            undone = _undone.pop(key, None)
+            if undone is not None:
+                return undone
+        rows, free_loops = _edit(rep, site)
+        cs2, named = _label(rows, _check_passes(rows), free_loops)
+        if growth > 0:
+            # the edit numbers the new crossings last, and crossing k of
+            # cs2 is vertex k - 1 of its representative
+            n = len(named) - growth
+            a = int(named[n]) - 1
+            if growth == 1:
+                key = (cs2, a)
+            else:
+                b = int(named[n + 1]) - 1
+                key = (cs2, a, b) if a < b else (cs2, b, a)
+            _undone[key] = self._cs
+            if len(_undone) > _UNDONE_SIZE:
+                _undone.popitem(last=False)
+        return cs2
 
 
 # distinct states whose listings are kept, per crossing cap
 _MEMO_SIZE = 2**12
 _successors = functools.lru_cache(maxsize=_MEMO_SIZE)(_Listing)
+
+# (state, removed crossings) -> the state R1- or R2- on them gives, recorded
+# by the up moves they undo and popped when read; oldest dropped first, by
+# an OrderedDict, since taking a plain dict's first key rescans the slots
+# of the keys deleted before it
+_UNDONE_SIZE = 2**16
+_undone: OrderedDict[tuple, str] = OrderedDict()
 
 
 class _Budget:
@@ -173,17 +234,18 @@ class _Search:
     ``_successors`` order, and the search stops at the first new state
     the budget refuses.
 
-    ``least`` is the least rank of the states listed so far.  After
-    ``run``, ``frontier`` holds exactly the states reached but never
-    listed (none when the orbit closed), so ``minimize`` ranks only
-    those beside ``least``.
+    ``least`` is None unless a ranking search (``_minimal_orbit``) set
+    it before ``run``; it then holds the least rank of the states listed
+    so far.  After ``run``, ``frontier`` holds exactly the states reached
+    but never listed (none when the orbit closed), so ``minimize`` ranks
+    only those beside ``least``.
     """
 
     def __init__(self, cs: str, budget: _Budget):
         self.parents: dict[str, tuple[str, MoveSite] | None] = {cs: None}
         self.frontier = [cs]
         self.budget = budget
-        self.least = (math.inf,)
+        self.least = None
 
     def layer(self):
         """Expand the frontier by one move; yields each new state."""
@@ -196,7 +258,8 @@ class _Search:
         order = sorted(self.frontier)
         for i, cs in enumerate(order):
             listing = _successors(cs, cap)
-            self.least = min(self.least, listing.rank)
+            if self.least is not None:
+                self.least = min(self.least, listing.rank)
             for site, cs2 in listing:
                 if cs2 in parents:
                     continue
@@ -337,6 +400,7 @@ def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     """The search of ``d``'s orbit and its least ``_rank``; a state the
     search reached but never listed is ranked with no listing."""
     search = _Search(canonical_string(d), _Budget(bounds, 1))
+    search.least = (math.inf,)
     search.run()
     return search, min([search.least, *(_rank(_from_canonical(cs), cs)
                                         for cs in search.frontier)])

@@ -307,9 +307,20 @@ def _numbered_rows(text: str):
     return rows, parts.count("*")
 
 
+def _least_turn(row) -> tuple:
+    """The least rotation of a circuit's passes."""
+    return min(tuple(row[i:] + row[:i]) for i in range(len(row)))
+
+
 def _assert_label_matches_oracle(rows, loops) -> None:
+    # the string is the oracle's, and vertex v is crossing named[v] of it:
+    # the rows renamed by named are the string's circuits, each turned
     expected = naive_canonical_string(_from_passes(rows, loops))
-    assert _label(rows, _check_passes(rows), loops) == expected, (rows, loops)
+    text, named = _label(rows, _check_passes(rows), loops)
+    assert text == expected, (rows, loops)
+    renamed = [[(int(named[v]) - 1, role, sgn) for v, role, sgn in row] for row in rows]
+    assert sorted(map(_least_turn, renamed)) == sorted(
+        map(_least_turn, _numbered_rows(text)[0])), (rows, loops)
 
 
 @pytest.mark.parametrize("text", [

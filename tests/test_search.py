@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import weakref
+from collections import OrderedDict
 
 import pytest
 
@@ -214,11 +215,18 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
 
 def _clear_memos():
     _successors.cache_clear()
+    vlink.search._undone.clear()
 
 
 def _pairs(cs: str, cap: int) -> list:
-    """The (site, canonical result) successors of ``cs``, without the memo."""
-    return list(_Listing(cs, cap))
+    """The (site, canonical result) successors of ``cs``, without the memo
+    and without records of up moves."""
+    store = vlink.search._undone
+    vlink.search._undone = OrderedDict()
+    try:
+        return list(_Listing(cs, cap))
+    finally:
+        vlink.search._undone = store
 
 
 def test_results_do_not_depend_on_memo_state():
@@ -365,6 +373,111 @@ def test_rep_rejects_malformed_states(cs):
 
 def test_memos_are_bounded():
     assert _successors.cache_info().maxsize == 2**12
+    assert vlink.search._UNDONE_SIZE == 2**16
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Calls of ``vlink.search``'s ``name``, recorded from now on."""
+    calls, real = [], getattr(vlink.search, name)
+    monkeypatch.setattr(vlink.search, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_orbit_labels_each_undone_up_move_once(monkeypatch):
+    # the trefoil's closed cap-5 orbit labels 906 results without records;
+    # 329 of its R1- and R2- results undo an up move labelled earlier, and
+    # are read from its record
+    labels = _counted(monkeypatch, "_label")
+    _clear_memos()
+    res = orbit(TREFOIL, SearchBounds(5, max_states=250))
+    assert (len(res.states), res.truncated) == (216, False)
+    assert len(labels) == 577
+
+
+def test_only_ranking_searches_compute_genus(monkeypatch):
+    # orbit and equivalent read no rank; minimize ranks each state it
+    # reaches once, from the representative its listing holds
+    calls = _counted(monkeypatch, "genus")
+    _clear_memos()
+    orbit(TREFOIL, SearchBounds(5, max_states=250))
+    equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=300))
+    assert calls == []
+    m = minimize(DOUBLED, SearchBounds(4, max_states=300))
+    assert not m.certified and len(calls) == m.explored
+    # a listing that orbit completed ranks its state from a new parse
+    parses = _counted(monkeypatch, "_from_canonical")
+    calls.clear()
+    m = minimize(TREFOIL, SearchBounds(5, max_states=250))
+    assert m.certified and len(calls) == len(parses) - 1 == 216
+
+
+def test_records_are_bounded_and_change_no_orbit(monkeypatch):
+    # a 64-entry store drops its oldest records as the cap-4 unknot orbit
+    # adds more: the orbit is the same, and more results are labelled
+    sizes = []
+    real = vlink.search._label
+    monkeypatch.setattr(vlink.search, "_label",
+                        lambda *args: sizes.append(len(vlink.search._undone)) or real(*args))
+    _clear_memos()
+    full = orbit(UNKNOT, SearchBounds(4, max_states=None))
+    labelled = len(sizes)
+    monkeypatch.setattr(vlink.search, "_UNDONE_SIZE", 64)
+    _clear_memos()
+    sizes.clear()
+    small = orbit(UNKNOT, SearchBounds(4, max_states=None))
+    assert small == full and len(small.states) == 1531
+    assert max(sizes) == 64 and len(vlink.search._undone) <= 64
+    assert len(sizes) > labelled
+
+
+def test_records_change_no_listing(monkeypatch, corpus_v3):
+    # listings read with a store that listing every state filled equal the
+    # listings built with no records, whose first occurrences are the
+    # oracle's: the closed cap-4 orbits of the unknot and of every tenth
+    # V<=3 diagram, and seeded random states one and two crossings up
+    cases = set()
+    for d in [UNKNOT, *corpus_v3[::10]]:
+        res = orbit(d, SearchBounds(4, max_states=None))
+        assert not res.truncated
+        cases |= {(cs, 4) for cs in res.states}
+    cases |= {(canonical_string(d), d.n_vertices + room)
+              for d in random_diagrams(43, 150, max_v=4, max_comps=3, max_loops=2)
+              for room in (1, 2)}
+    cases = sorted(cases)
+    store = OrderedDict()
+    monkeypatch.setattr(vlink.search, "_undone", store)
+    for case in cases:
+        list(_Listing(*case))
+    edits = _counted(monkeypatch, "_edit")
+    read = 0
+    for case in cases:
+        cold = _pairs(*case)
+        labelled = len(edits)
+        assert list(_Listing(*case)) == cold, case
+        read += len(cold) - (len(edits) - labelled)
+        cs, cap = case
+        assert _first_occurrences(cold) == _first_occurrences(
+            full_listing(_from_canonical(cs), cap))
+    # results read from records rather than labelled, pinned
+    assert read == 19176
+
+
+def test_down_moves_that_empty_a_circuit_read_their_record():
+    # undoing a free-loop curl, the join of two free loops or a free loop
+    # folded through a handle empties a circuit back into a free loop
+    start = canonical_string(Diagram((), (), (), (), free_loops=2))
+    for where in (("loop", 0), ("loops", 0, 1), ("loopself", 0)):
+        _clear_memos()
+        up = [(site, cs) for site, cs in _Listing(start, 2) if site.where == where]
+        assert up
+        for cs in sorted({cs for _, cs in up}):
+            store = vlink.search._undone
+            records = [key for key, back in store.items() if key[0] == cs and back == start]
+            assert records
+            pairs = list(_Listing(cs, 2))
+            assert pairs == _pairs(cs, 2)
+            assert not any(key in store for key in records)
+            assert start in [cs2 for site, cs2 in pairs if site.kind in ("R1-", "R2-")]
 
 
 def test_unreplayable_path_raises(monkeypatch):
