@@ -11,7 +11,6 @@ from vlink import (
     complexity_measure,
     disjoint_union,
     genus,
-    is_classical,
     parse_gauss,
     split_components,
     to_diagram,
@@ -26,8 +25,7 @@ for name, d in [("classical trefoil", trefoil), ("virtual trefoil", vtrefoil),
                 ("unknot", UNKNOT)]:
     faces = trace_faces(d)
     g = genus(d)
-    print(f"{name}: V={d.n_vertices} F={len(faces)} genus={g.total} "
-          f"classical={is_classical(d)}")
+    print(f"{name}: V={d.n_vertices} F={len(faces)} genus={g.total}")
 
 print("\nface walks of the virtual trefoil:")
 for face in trace_faces(vtrefoil):

@@ -6,14 +6,15 @@ surgeries that always return a valid diagram.
 """
 
 from vlink import (
+    SearchBounds,
     UNKNOT,
     apply_move,
     canonical_string,
     enumerate_moves,
     f_poly,
     genus,
+    minimize,
     parse_gauss,
-    simplify_greedy,
     to_diagram,
 )
 from collections import Counter
@@ -41,9 +42,10 @@ d3 = apply_move(trefoil, stabs[0])
 print("after one R2+stab: V =", d3.n_vertices, " genus =", genus(d3).total,
       " f unchanged:", f_poly(d3) == f_poly(trefoil))
 
-print("\n== greedy simplification ==")
+print("\n== minimal witness ==")
 messy = to_diagram(parse_gauss("O1+ U1+ O2- U2- O3+ U3+"))
-print("three stacked kinks ->", repr(canonical_string(simplify_greedy(messy))))
+res = minimize(messy, SearchBounds(max_crossings=4))
+print("three stacked kinks ->", repr(canonical_string(res.witness)), " certified:", res.certified)
 
 print("\n== site census on a 2-crossing diagram ==")
 vt = to_diagram(parse_gauss("O1+ O2+ U1+ U2+"))

@@ -36,7 +36,7 @@ from .invariants import (
     quandle_colorings,
     trivial_quandle,
 )
-from .moves import MoveError, MoveSite, apply_move, enumerate_moves, simplify_greedy
+from .moves import MoveError, MoveSite, apply_move, enumerate_moves
 from .search import (
     MinimizeResult,
     OrbitResult,
@@ -52,7 +52,6 @@ from .surface import (
     GenusResult,
     complexity_measure,
     genus,
-    is_classical,
     split_components,
     trace_faces,
 )
@@ -64,11 +63,11 @@ __all__ = [
     "diagram_to_json", "diagram_from_json",
     "validate", "stats", "canonical_string", "mirror", "disjoint_union",
     "GenusResult", "trace_faces",
-    "genus", "complexity_measure", "split_components", "is_classical",
+    "genus", "complexity_measure", "split_components",
     "LaurentPoly", "Quandle", "StateSumLimitError",
     "bracket", "f_poly", "quandle_colorings", "check_quandle",
     "dihedral_quandle", "trivial_quandle", "load_quandle",
-    "MoveSite", "MoveError", "enumerate_moves", "apply_move", "simplify_greedy",
+    "MoveSite", "MoveError", "enumerate_moves", "apply_move",
     "SearchBounds", "SearchError", "SearchOutcome", "OrbitResult", "MinimizeResult",
     "orbit", "equivalent", "minimize", "classify_corpus",
 ]

@@ -35,20 +35,20 @@ from functools import cached_property
 
 from .diagram import Diagram, require_valid, stats
 
-DEFAULT_STATE_SUM_CAP = 20
+STATE_SUM_CAP = 20
 
 
 class StateSumLimitError(RuntimeError):
-    """Diagram exceeds the configured state-sum crossing cap."""
+    """Diagram exceeds the state-sum crossing cap."""
 
 
-def check_state_sum_cap(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> None:
+def check_state_sum_cap(d: Diagram) -> None:
     """Raise :class:`StateSumLimitError` when ``d`` has more crossings than
-    the state-sum cap: the one refusal of :func:`bracket` and of
+    :data:`STATE_SUM_CAP`: the one refusal of :func:`bracket` and of
     ``search.invariant_table``."""
-    if d.n_vertices > max_crossings:
+    if d.n_vertices > STATE_SUM_CAP:
         raise StateSumLimitError(
-            f"{d.n_vertices} crossings exceeds the state-sum cap {max_crossings}")
+            f"{d.n_vertices} crossings exceeds the state-sum cap {STATE_SUM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _delta_power(k: int) -> LaurentPoly:
     return LaurentPoly(tuple(terms))
 
 
-def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPoly:
+def bracket(d: Diagram) -> LaurentPoly:
     """Kauffman bracket, normalized so the unknot gives 1.
 
     A frontier state sum.  Vertices are added in :func:`_vertex_order`;
@@ -206,7 +206,7 @@ def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPo
     read once at the end, where delta^(c + free loops - 1) is expanded.
     """
     require_valid(d)
-    check_state_sum_cap(d, max_crossings)
+    check_state_sum_cap(d)
     n = d.n_vertices
     if n == 0 and d.free_loops == 0:
         return LaurentPoly.one()
@@ -307,10 +307,10 @@ def bracket(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPo
     return LaurentPoly.from_dict(coeffs)
 
 
-def f_poly(d: Diagram, max_crossings: int = DEFAULT_STATE_SUM_CAP) -> LaurentPoly:
+def f_poly(d: Diagram) -> LaurentPoly:
     """Writhe-normalized bracket (-A^3)^(-w) <d>, invariant under all moves:
     the coefficient c at exponent e becomes (-1)^w c at e - 3w."""
-    b = bracket(d, max_crossings)
+    b = bracket(d)
     w = stats(d).writhe
     sign = -1 if w % 2 else 1
     return LaurentPoly(tuple((e - 3 * w, sign * c) for e, c in b.coeffs))

@@ -317,13 +317,3 @@ def apply_move(d: Diagram, site: MoveSite) -> Diagram:
                            + "; ".join(out.violations))
     return out
 
-
-def simplify_greedy(d: Diagram) -> Diagram:
-    """Apply reducing moves (R1-, R2-) until none remains.  Crossing count
-    never increases; the result has no monogon and no coherent bigon."""
-    require_valid(d)
-    while True:
-        sites = enumerate_moves(d, {"R1-", "R2-"})
-        if not sites:
-            return d
-        d = _apply_unchecked(d, sites[0])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import UNKNOT, Diagram, DiagramError, _from_passes, require_valid
+from .diagram import UNKNOT, Diagram, DiagramError, _from_passes, require_valid, stats
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def genus(d: Diagram) -> GenusResult:
 
 def complexity_measure(d: Diagram) -> int:
     """g + n - c: total genus plus link components minus surface components."""
-    require_valid(d)
     g = genus(d).total
-    n = len(d.passes) + d.free_loops
+    n = stats(d).components
     c = len(d.graph_components) + d.free_loops
     if n < c:
         raise DiagramError(f"{n} link components on {c} surface components")
@@ -78,11 +77,3 @@ def split_components(d: Diagram) -> list[Diagram]:
                                  for row in d.passes if row[0][0] in name], 0))
     return out + [UNKNOT] * d.free_loops
 
-
-def is_classical(d: Diagram) -> bool:
-    """True iff this diagram embeds at genus 0.
-
-    False only says this particular diagram needs genus; the underlying
-    virtual link may still be classical via some equivalent diagram.
-    """
-    return genus(d).total == 0

@@ -176,8 +176,11 @@ def test_bracket_disjoint_union_rule():
 
 
 def test_bracket_cap():
-    with pytest.raises(StateSumLimitError):
-        bracket(TREFOIL, max_crossings=2)
+    # T(2,21): one crossing above the cap, refused by the bracket and by f
+    torus = to_diagram(parse_gauss(" ".join(f"{'OU'[k % 2]}{k % 21 + 1}+" for k in range(42))))
+    for engine in (bracket, f_poly):
+        with pytest.raises(StateSumLimitError, match="^21 crossings exceeds the state-sum cap 20$"):
+            engine(torus)
 
 
 def test_f_poly_facts():

@@ -18,7 +18,6 @@ from vlink.moves import (
     _apply_unchecked,
     apply_move,
     enumerate_moves,
-    simplify_greedy,
 )
 
 from helpers import all_connected_diagrams, random_diagram, random_diagrams
@@ -175,22 +174,6 @@ def test_invalid_move_result_raises(monkeypatch):
     monkeypatch.setattr(vlink.moves, "_apply_unchecked", lambda d, s: broken)
     with pytest.raises(DiagramError, match="produced an invalid diagram"):
         apply_move(KINK, site)
-
-
-def test_simplify_greedy():
-    assert simplify_greedy(KINK) == UNKNOT
-    assert simplify_greedy(TREFOIL) == TREFOIL
-    doubled = to_diagram(parse_gauss("O1+ U1+ O2+ U2+"))
-    assert simplify_greedy(doubled) == UNKNOT
-    nested = to_diagram(parse_gauss("O1- O2+ U2+ U1-"))
-    assert simplify_greedy(nested) == UNKNOT
-    rng = random.Random(66)
-    for _ in range(25):
-        d = random_diagram(rng, max_v=6)
-        out = simplify_greedy(d)
-        assert validate(out) == []
-        assert out.n_vertices <= d.n_vertices
-        assert enumerate_moves(out, {"R1-", "R2-"}) == []
 
 
 def test_unknown_kind_rejected():

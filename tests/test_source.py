@@ -58,6 +58,13 @@ def test_every_cache_has_a_size_bound():
     assert checked and found == []
 
 
+def test_every_export_is_defined_once():
+    # an entry a deletion leaves behind in vlink.__all__ breaks
+    # ``from vlink import *``; a repeated entry hides such a leftover
+    assert [name for name in vlink.__all__ if not hasattr(vlink, name)] == []
+    assert sorted(set(vlink.__all__)) == sorted(vlink.__all__)
+
+
 def _diagram_calls(tree):
     """The calls of ``Diagram`` under ``tree``."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and "Diagram" in (

@@ -7,7 +7,6 @@ from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, disjo
 from vlink.surface import (
     complexity_measure,
     genus,
-    is_classical,
     split_components,
     trace_faces,
 )
@@ -121,9 +120,3 @@ def test_split_inverts_union():
         got = sorted(canonical_string(p) for p in parts)
         want = sorted(canonical_string(p) for p in split_components(d1) + split_components(d2))
         assert got == want
-
-
-def test_is_classical():
-    assert is_classical(TREFOIL)
-    assert not is_classical(VT)
-    assert is_classical(UNKNOT)
