@@ -2,7 +2,8 @@
 
 Exit codes for equiv: 0 equivalent, 1 distinguished, 2 unknown.  Every
 command exits 3, with a one-line message, on input it cannot read: bad
-arguments, unreadable files, or a diagram above the state-sum cap.  A
+arguments or unreadable files; equiv and classify, which compute
+invariants, also on a diagram above the state-sum cap.  A
 search command exits 4, with a one-line message and no verdict, when a
 path its search found fails to replay (``SearchError``, a fault in the
 program, not in the input).

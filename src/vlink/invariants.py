@@ -44,8 +44,8 @@ class StateSumLimitError(RuntimeError):
 
 def check_state_sum_cap(d: Diagram) -> None:
     """Raise :class:`StateSumLimitError` when ``d`` has more crossings than
-    :data:`STATE_SUM_CAP`: the one refusal of :func:`bracket` and of
-    ``search.invariant_table``."""
+    :data:`STATE_SUM_CAP`: the one refusal of :func:`bracket`, of
+    ``search.invariant_table`` and of ``search.classify_corpus``."""
     if d.n_vertices > STATE_SUM_CAP:
         raise StateSumLimitError(
             f"{d.n_vertices} crossings exceeds the state-sum cap {STATE_SUM_CAP}")

@@ -49,8 +49,10 @@ from dataclasses import dataclass
 
 from .diagram import Diagram, DiagramError, _check_passes, _from_passes, require_valid
 
-PLAIN_KINDS = frozenset({"R1+", "R1-", "R2+", "R2-", "R3"})
-ALL_KINDS = PLAIN_KINDS | {"R2+stab"}
+# crossings each move kind adds
+_GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
+ALL_KINDS = frozenset(_GROWTH)
+PLAIN_KINDS = ALL_KINDS - {"R2+stab"}
 
 
 class MoveError(ValueError):
@@ -170,7 +172,14 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
 _E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
 
 
-def _excise(d: Diagram, removed: set[int]):
+def _removed(d: Diagram, site: MoveSite) -> frozenset[int]:
+    """The crossings an R1- or R2- site removes."""
+    if site.kind == "R1-":
+        return frozenset(site.where)
+    return frozenset(d.vertex_of[x] for x in site.where)
+
+
+def _excise(d: Diagram, removed: frozenset[int]):
     """Drop the passes of the given vertices and renumber the rest in
     order, each kept vertex by the count of kept vertices before it;
     circuits left with no pass become free loops."""
@@ -274,10 +283,8 @@ def _apply_r3(d: Diagram, face: tuple[int, int, int]):
 def _edit(d: Diagram, site: MoveSite):
     """``site``'s result as per-circuit ``(vertex, role, sign)`` rows on
     vertices ``0 ..`` and a free-loop count, unchecked."""
-    if site.kind == "R1-":
-        return _excise(d, set(site.where))
-    if site.kind == "R2-":
-        return _excise(d, {d.vertex_of[x] for x in site.where})
+    if site.kind in ("R1-", "R2-"):
+        return _excise(d, _removed(d, site))
     if site.kind == "R3":
         return _apply_r3(d, site.where)
     if site.kind == "R1+":

@@ -21,11 +21,12 @@ code, checked by ``diagram._check_passes``, without building a
 R1+, R2+ and R2+stab result, when labelled, records which state its R1-
 or R2- on the crossings the move added gives (the state it came from),
 and that down move is read from the record, not labelled.  Records sit
-in the bounded store ``_undone`` and are popped when read; a missing
-record costs only a label.  Only ``minimize`` and ``classify_corpus``
-rank states: their search reads each state's rank when it lists the
-state, and ranks the states it reached but never listed from their
-representatives, outside the memo.
+in the bounded store ``_undone``, keyed by a state and a set of
+crossings, and are popped when read; a missing record costs only a
+label.  Only ``minimize`` and ``classify_corpus`` rank states: their
+search reads each state's rank when it lists the state, and ranks the
+states it reached but never listed from their representatives, outside
+the memo.
 Replay does not use the memo: it builds each step's representative
 afresh, applies the step with ``moves.apply_move``, which checks the
 site against the listing and validates the result, and labels the result.
@@ -48,7 +49,7 @@ from .diagram import (
     Diagram, DiagramError, _check_passes, _label, canonical_string, require_valid, stats,
 )
 from .invariants import Quandle, check_state_sum_cap, dihedral_quandle, f_poly, quandle_colorings
-from .moves import MoveError, MoveSite, _edit, apply_move, enumerate_moves
+from .moves import _GROWTH, MoveError, MoveSite, _edit, _removed, apply_move, enumerate_moves
 from .surface import genus
 
 DEFAULT_QUANDLES: tuple[tuple[str, Quandle], ...] = (
@@ -106,10 +107,6 @@ class MinimizeResult:
     explored: int
 
 
-# crossings each move kind adds
-_GROWTH = {"R1-": -1, "R2-": -2, "R3": 0, "R1+": 1, "R2+": 2, "R2+stab": 2}
-
-
 def _rank(rep: Diagram, cs: str):
     """(total genus, crossings, canonical string) of state ``cs`` from its
     representative; genus and crossings do not change under isomorphism."""
@@ -133,11 +130,12 @@ class _Listing:
 
     An R1- or R2- site that undoes an up move some listing labelled is
     read, not labelled: labelling the up move's result records, in
-    ``_undone``, which state the result's R1- on the new crossing or R2-
-    on the two new crossings gives, and the site pops that record.  That
-    state is the one the move came from, whatever the curl variant or the
-    bigon, since excising the passes the move spliced in restores its
-    code; so a record only saves a label, and the pairs are the same.
+    ``_undone`` under the result's state and the set of crossings the
+    move added, the state it came from, and the site pops the record
+    under its own state and the crossings ``moves._removed`` names.
+    Excising the passes an up move spliced in restores its code, whatever
+    the curl variant or the bigon, so a record only saves a label, and
+    the pairs are the same.
     """
 
     def __init__(self, cs: str, max_crossings: int):
@@ -174,14 +172,7 @@ class _Listing:
         of an up move it undoes, or labelled from ``_edit``'s code."""
         rep, growth = self._rep, _GROWTH[site.kind]
         if growth < 0:
-            # the removed crossings, in the representative's vertex order: a
-            # bigon face starts at its least dart, so its vertices come in order
-            if growth == -1:
-                key = (self._cs, *site.where)
-            else:
-                x, y = site.where
-                key = (self._cs, rep.vertex_of[x], rep.vertex_of[y])
-            undone = _undone.pop(key, None)
+            undone = _undone.pop((self._cs, _removed(rep, site)), None)
             if undone is not None:
                 return undone
         rows, free_loops = _edit(rep, site)
@@ -189,14 +180,8 @@ class _Listing:
         if growth > 0:
             # the edit numbers the new crossings last, and crossing k of
             # cs2 is vertex k - 1 of its representative
-            n = len(named) - growth
-            a = int(named[n]) - 1
-            if growth == 1:
-                key = (cs2, a)
-            else:
-                b = int(named[n + 1]) - 1
-                key = (cs2, a, b) if a < b else (cs2, b, a)
-            _undone[key] = self._cs
+            n = len(named)
+            _undone[cs2, frozenset(int(named[v]) - 1 for v in range(n - growth, n))] = self._cs
             if len(_undone) > _UNDONE_SIZE:
                 _undone.popitem(last=False)
         return cs2
@@ -211,7 +196,7 @@ _successors = functools.lru_cache(maxsize=_MEMO_SIZE)(_Listing)
 # an OrderedDict, since taking a plain dict's first key rescans the slots
 # of the keys deleted before it
 _UNDONE_SIZE = 2**16
-_undone: OrderedDict[tuple, str] = OrderedDict()
+_undone: OrderedDict[tuple[str, frozenset[int]], str] = OrderedDict()
 
 
 class _Budget:
@@ -473,10 +458,13 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     replaying its paths.  Each pair of classes left apart within a group
     is reported unresolved, and each corpus member of another group that
     a class's orbit reaches is reported as a violation.  Every diagram is
-    validated, and checked against the bounds, before any is labelled.
+    validated, and checked against the bounds and then the state-sum cap,
+    before any is labelled; the first offender in corpus order is named.
     """
     diagrams = [require_valid(d) for d in diagrams]
     bounds.check(*diagrams)
+    for d in diagrams:
+        check_state_sum_cap(d)
     entries: dict[str, Diagram] = {}
     for d in diagrams:
         entries.setdefault(canonical_string(d), d)

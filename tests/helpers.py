@@ -1,10 +1,15 @@
-"""Shared corpus generators for the test suite (seeded, deterministic)."""
+"""Shared corpus generators for the test suite (seeded, deterministic),
+and the comparison with golden output files."""
 
 from __future__ import annotations
 
+import difflib
 import functools
 import itertools
 import random
+from pathlib import Path
+
+import pytest
 
 from vlink.codec import parse_gauss, to_diagram
 from vlink.diagram import Diagram, canonical_string
@@ -90,3 +95,17 @@ def _connected_diagrams(max_v: int) -> tuple[Diagram, ...]:
                         continue
                     out.setdefault(canonical_string(d), d)
     return tuple(out[k] for k in sorted(out))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def assert_matches_golden(text: str, name: str) -> None:
+    """``text`` equals the file ``tests/golden/<name>``; a mismatch fails
+    with a unified diff from the file to ``text``."""
+    expected = (GOLDEN / name).read_text()
+    if text != expected:
+        diff = difflib.unified_diff(expected.splitlines(keepends=True),
+                                    text.splitlines(keepends=True),
+                                    f"tests/golden/{name}", "output")
+        pytest.fail("output differs from the golden file:\n" + "".join(diff), pytrace=False)

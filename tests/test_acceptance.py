@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Everything is exact
 integer/string arithmetic; there are no tolerances anywhere.
 """
 
+import hashlib
 import random
 import time
 
@@ -174,9 +175,17 @@ def test_criterion_4_unique_representative_consistency(cap4_orbits):
     t0 = time.time()
     bounds5 = SearchBounds(max_crossings=5, max_states=60000)
     part2_members = 0
-    for seed in (UNKNOT, VT, TREFOIL):
+    # each closed cap-5 orbit: its size and the SHA-256 of its sorted states
+    pinned = [
+        (UNKNOT, 26217, "ae765d2056df6c337c0ff22e5c6b323449f4d0b96ac50621ce2fff2025a04a41"),
+        (VT, 7403, "05b0cae10b6cf1e24c279dfbcced22689b769cae07641ab10bedb19743b3dc31"),
+        (TREFOIL, 216, "ace7c161833f0c7662b430fd00a8d4631517614509def94618be4d1763e01c42"),
+    ]
+    for seed, size, digest in pinned:
         res = orbit(seed, bounds5)
         assert not res.truncated, "cap-5 seed orbit failed to close"
+        assert len(res.states) == size
+        assert hashlib.sha256("\n".join(sorted(res.states)).encode()).hexdigest() == digest
         part2_members += _check_orbit_consistency(
             res.states, bounds5, minimize_budget=4 if res.explored <= 2000 else 2)
     print(f"\ncriterion 4: PASS - cap-4: {n_closed} closed orbits over "

@@ -1,11 +1,18 @@
+import ast
 import io
 import contextlib
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 import vlink.search
+from helpers import assert_matches_golden
 from vlink.cli import main
+from vlink.codec import parse_gauss, to_diagram
+from vlink.diagram import canonical_string
+from vlink.moves import MoveError, MoveSite, apply_move
 
 
 def run_cli(argv):
@@ -20,6 +27,43 @@ def run_cli_err(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# the golden transcript's inputs, written to the working directory
+TRANSCRIPT_INPUTS = {
+    "trefoil.gauss": "O1+ U2+ O3+ U1+ O2+ U3+\n",
+    "vt.gauss": "O1+ O2+ U1+ U2+\n",
+    "unknot.gauss": "*\n",
+    "hopf.gauss": "O1+ U2+ / U1+ O2+\n",
+    # T(2,21), one crossing above the state-sum cap
+    "t221.gauss": " ".join(f"{'OU'[k % 2]}{k % 21 + 1}+" for k in range(42)) + "\n",
+    "corpus.txt": "# five diagrams\n*\nO1+ U1+\nO1+ U2+ O3+ U1+ O2+ U3+\n"
+                  "O1+ O2+ U1+ U2+\nO1+ U2+ / U1+ O2+\n",
+}
+
+
+def transcript() -> str:
+    """A fixed list of command lines, each with its stdout, its stderr and
+    its exit code, run in the working directory."""
+    for name, text in TRANSCRIPT_INPUTS.items():
+        Path(name).write_text(text)
+    commands = []
+    for name in ("trefoil", "vt", "unknot", "hopf", "t221"):
+        path = f"{name}.gauss"
+        commands.append(["genus", path])
+        if name != "t221":  # its default orbit takes seconds
+            commands.append(["minimize", path])
+        commands.append(["minimize", path, "--max-crossings", "5", "--max-states", "300"])
+        commands.append(["equiv", path, "unknot.gauss"])
+        commands.append(["equiv", path, "trefoil.gauss"])
+    commands.append(["classify", "corpus.txt", "--max-crossings", "4", "--max-states", "300"])
+    blocks = []
+    for argv in commands:
+        code, out, err = run_cli_err(argv)
+        blocks.append(f"$ vlink {' '.join(argv)}\n{out}"
+                      + "".join(f"stderr: {line}\n" for line in err.splitlines())
+                      + f"exit: {code}\n")
+    return "\n".join(blocks)
 
 
 @pytest.fixture
@@ -222,6 +266,27 @@ def test_missing_file_and_bad_quandle_exit_3(files, tmp_path):
     assert run_cli_err(pair + ["--quandles", ""]) == run_cli_err(pair)
 
 
+def test_printed_equiv_path_replays_from_canonical_representatives(files, tmp_path):
+    # each move names darts of its state's representative, the diagram
+    # to_diagram(parse_gauss(cs)) of the canonical string cs before it,
+    # not of the input as typed
+    typed = "O1- O2+ U1- U2+"
+    a = tmp_path / "a.gauss"
+    a.write_text(typed + "\n")
+    code, out = run_cli(["equiv", str(a), files["unknot.gauss"],
+                         "--max-crossings", "5", "--max-states", "3000"])
+    assert code == 0
+    sites = [MoveSite(m[1], ast.literal_eval(m[2]), m[3])
+             for m in re.finditer(r"^move: (\S+) where=(.*) variant=(\S*)$", out, re.M)]
+    assert sites == [MoveSite("R2-", (1, 6))]
+    with pytest.raises(MoveError):
+        apply_move(to_diagram(parse_gauss(typed)), sites[0])
+    cs = canonical_string(to_diagram(parse_gauss(typed)))
+    for site in sites:
+        cs = canonical_string(apply_move(to_diagram(parse_gauss(cs)), site))
+    assert cs == "*"
+
+
 def test_search_bounds_below_input_exit_3(files):
     code, _, err = run_cli_err(["minimize", files["trefoil.gauss"], "--max-crossings", "2"])
     assert code == 3
@@ -231,3 +296,9 @@ def test_search_bounds_below_input_exit_3(files):
                                   "--max-states", "1"])
     assert (code, out) == (3, "")
     assert err == "vlink equiv: max_states must be at least 2, one per start\n"
+
+
+def test_cli_transcript_matches_golden(tmp_path, monkeypatch):
+    # every command's stdout, stderr and exit code, byte for byte
+    monkeypatch.chdir(tmp_path)
+    assert_matches_golden(transcript(), "cli.txt")

@@ -1,9 +1,12 @@
-"""The demo scripts run to completion against the library."""
+"""The demo scripts run to completion against the library and print what
+their golden files under ``tests/golden/`` hold."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import assert_matches_golden
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,3 +20,4 @@ def test_every_demo_exits_0(tmp_path):
         done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (script.name, done.stderr)
+        assert_matches_golden(done.stdout, f"{script.stem}.txt")

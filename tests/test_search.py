@@ -596,6 +596,22 @@ def test_invariant_table_refuses_before_any_row(monkeypatch):
         invariant_table(broken)
 
 
+def test_classify_refuses_above_the_state_sum_cap_before_labelling(monkeypatch):
+    # the cap is checked with the bounds, before any member is labelled;
+    # of several members above it, the first in corpus order is named
+    def torus(n):
+        return to_diagram(parse_gauss(" ".join(f"{'OU'[k % 2]}{k % n + 1}+"
+                                               for k in range(2 * n))))
+
+    labelled = _counted(monkeypatch, "canonical_string")
+    with pytest.raises(StateSumLimitError, match="^21 crossings exceeds the state-sum cap 20$"):
+        classify_corpus([UNKNOT, torus(21)], SearchBounds(21, max_states=10))
+    assert labelled == []
+    with pytest.raises(StateSumLimitError, match="^23 crossings exceeds"):
+        classify_corpus([UNKNOT, torus(23), torus(21)], SearchBounds(23, max_states=10))
+    assert labelled == []
+
+
 def test_unknown_when_bounds_too_tight():
     # two diagrams of the same knot; a 2-state budget cannot connect them
     out = equivalent(DOUBLED, UNKNOT, SearchBounds(max_crossings=2, max_depth=1, max_states=3))
