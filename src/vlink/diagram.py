@@ -215,27 +215,33 @@ def _scan(d: Diagram) -> tuple[list[str], tuple | None]:
     if errs:
         return errs, None
 
-    owner = [-1] * n  # dart -> the vertex whose rotation lists it
-    sigma, opposite = [0] * n, [0] * n
-    for v, rot in enumerate(rotations):
-        if len(rot) != 4:
-            errs.append(f"rotation of vertex {v} has {len(rot)} darts, expected 4")
-        for x in rot:
-            if not (0 <= x < n):
-                errs.append(f"rotation of vertex {v} names dart {x} out of range")
-            elif owner[x] >= 0:
-                errs.append(f"dart {x} appears in rotations of vertices {owner[x]} and {v}")
-            else:
-                owner[x] = v
-        if not errs:
-            r0, r1, r2, r3 = rot
-            sigma[r0], sigma[r1], sigma[r2], sigma[r3] = r1, r2, r3, r0
-            opposite[r0], opposite[r1], opposite[r2], opposite[r3] = r2, r3, r0, r1
-    if errs:  # without them the 4 * nv darts named are distinct and all in range
-        missing = [x for x in range(n) if owner[x] < 0]
-        if missing:
-            errs.append(f"darts {missing} missing from every rotation")
-        return errs, None
+    layout = _layout(nv)
+    if rotations == layout[0]:
+        # the layout of every map _from_passes builds, whose rotation
+        # partition holds: its tables are shared
+        owner, sigma, opposite = layout[2:]
+    else:
+        owner = [-1] * n  # dart -> the vertex whose rotation lists it
+        sigma, opposite = [0] * n, [0] * n
+        for v, rot in enumerate(rotations):
+            if len(rot) != 4:
+                errs.append(f"rotation of vertex {v} has {len(rot)} darts, expected 4")
+            for x in rot:
+                if not (0 <= x < n):
+                    errs.append(f"rotation of vertex {v} names dart {x} out of range")
+                elif owner[x] >= 0:
+                    errs.append(f"dart {x} appears in rotations of vertices {owner[x]} and {v}")
+                else:
+                    owner[x] = v
+            if not errs:
+                r0, r1, r2, r3 = rot
+                sigma[r0], sigma[r1], sigma[r2], sigma[r3] = r1, r2, r3, r0
+                opposite[r0], opposite[r1], opposite[r2], opposite[r3] = r2, r3, r0, r1
+        if errs:  # without them the 4 * nv darts named are distinct and all in range
+            missing = [x for x in range(n) if owner[x] < 0]
+            if missing:
+                errs.append(f"darts {missing} missing from every rotation")
+            return errs, None
 
     for x, y in enumerate(edge_pair):
         if not (0 <= y < n):
@@ -342,11 +348,26 @@ def relabel(d: Diagram, vertex_order: list[int]) -> Diagram:
 _IN_SLOT = {("O", "+"): 0, ("O", "-"): 0, ("U", "+"): 1, ("U", "-"): 3}
 
 
+@lru_cache(maxsize=2**5)
+def _layout(nv: int):
+    """The dart layout :func:`_from_passes` gives every map on ``nv``
+    vertices, shared by all of them: its ``rotations`` and ``over_pair``,
+    and the ``vertex_of``, ``sigma`` and ``opposite`` tables :func:`_scan`
+    reads from those rotations."""
+    darts = range(4 * nv)
+    return (tuple((x, x + 1, x + 2, x + 3) for x in darts[::4]),
+            tuple((x, x + 2) for x in darts[::4]),
+            tuple(x >> 2 for x in darts),
+            tuple(x & ~3 | (x + 1) & 3 for x in darts),
+            tuple(x ^ 2 for x in darts))
+
+
 def _from_passes(rows, free_loops: int) -> Diagram:
     """The diagram of per-circuit ``(vertex, role, sign)`` rows that
-    :func:`_check_passes` accepts.  Vertex ``v`` owns darts ``4v .. 4v+3``
-    counterclockwise, with the over-in dart at slot 0 and the under-in
-    dart at slot 1 (sign +) or slot 3 (sign -)."""
+    :func:`_check_passes` accepts, on the shared :func:`_layout`.  Vertex
+    ``v`` owns darts ``4v .. 4v+3`` counterclockwise, with the over-in
+    dart at slot 0 and the under-in dart at slot 1 (sign +) or slot 3
+    (sign -)."""
     n = 2 * sum(map(len, rows))
     edge = [0] * n
     inbound = [False] * n
@@ -359,8 +380,8 @@ def _from_passes(rows, free_loops: int) -> Diagram:
             edge[x] = src
             inbound[x] = True
             src = x ^ 2
-    return Diagram(tuple((x, x + 1, x + 2, x + 3) for x in range(0, n, 4)), tuple(edge),
-                   tuple((x, x + 2) for x in range(0, n, 4)), tuple(inbound), free_loops)
+    rotations, over_pair = _layout(n // 4)[:2]
+    return Diagram(rotations, tuple(edge), over_pair, tuple(inbound), free_loops)
 
 
 def _check_passes(rows) -> int:

@@ -77,13 +77,18 @@ class MoveSite:
 def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
     """Every distinct applicable move of the requested kinds, one site
     each (see the module docstring), sorted by :meth:`MoveSite.sort_key`."""
+    return sorted(_sites(d, kinds), key=MoveSite.sort_key)
+
+
+def _sites(d: Diagram, kinds):
+    """The sites :func:`enumerate_moves` lists, unsorted: the diagram
+    and the kinds are checked, and the faces read, before the first is
+    yielded, and a reader that stops early lists no further site."""
     require_valid(d)
     kinds = set(kinds)
     bad = kinds - ALL_KINDS
     if bad:
         raise MoveError(f"unknown move kinds: {sorted(bad)}")
-    sites: list[MoveSite] = []
-
     out_darts = [x for x in range(d.n_darts) if not d.inbound[x]]
 
     # one pass over the faces: each dart's face, for the pushes, and the
@@ -114,54 +119,51 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
             triangles.append(face)  # acyclic heights; equal ones are forbidden
 
     if "R1-" in kinds:
-        sites.extend(MoveSite("R1-", (v,)) for v in monogons)
+        yield from (MoveSite("R1-", (v,)) for v in monogons)
 
     if "R2-" in kinds:
-        sites.extend(MoveSite("R2-", face) for face in bigons.values())
+        yield from (MoveSite("R2-", face) for face in bigons.values())
 
     if "R3" in kinds:
-        sites.extend(MoveSite("R3", face) for face in triangles)
+        yield from (MoveSite("R3", face) for face in triangles)
 
     if "R1+" in kinds:
         for src in out_darts:
             for variant in ("lo", "lu", "ro", "ru"):
-                sites.append(MoveSite("R1+", (src,), variant))
+                yield MoveSite("R1+", (src,), variant)
         if d.free_loops:
             # both curls, so that every kink removal is undone by a curl
-            sites.append(MoveSite("R1+", ("loop", 0), "lo"))
-            sites.append(MoveSite("R1+", ("loop", 0), "ro"))
+            yield MoveSite("R1+", ("loop", 0), "lo")
+            yield MoveSite("R1+", ("loop", 0), "ro")
 
     if "R2+" in kinds or "R2+stab" in kinds:
         for x, y in itertools.product(range(d.n_darts), repeat=2):
             if y == d.edge_pair[x]:
                 # crossing an edge over its own other side needs a handle
                 if "R2+stab" in kinds:
-                    sites.append(MoveSite("R2+stab", (x, y), "over"))
-                    sites.append(MoveSite("R2+stab", (x, y), "under"))
+                    yield MoveSite("R2+stab", (x, y), "over")
+                    yield MoveSite("R2+stab", (x, y), "under")
                 continue
             if x == y:
                 if "R2+" in kinds:
-                    sites.append(MoveSite("R2+", (x, x), "over"))
-                    sites.append(MoveSite("R2+", (x, x), "under"))
+                    yield MoveSite("R2+", (x, x), "over")
+                    yield MoveSite("R2+", (x, x), "under")
                 continue
             if str(y) < str(x):
                 continue  # the mirror push (y, x) is listed
             kind = "R2+" if face_of[x] == face_of[y] else "R2+stab"
             if kind in kinds:
-                sites.append(MoveSite(kind, (x, y), "over"))
-                sites.append(MoveSite(kind, (x, y), "under"))
+                yield MoveSite(kind, (x, y), "over")
+                yield MoveSite(kind, (x, y), "under")
         if "R2+stab" in kinds and d.free_loops:
             for src in out_darts:
                 for variant in ("a_over", "a_under", "b_over", "b_under"):
-                    sites.append(MoveSite("R2+stab", ("loop", 0, src), variant))
-            sites.append(MoveSite("R2+stab", ("loopself", 0), "over"))
-            sites.append(MoveSite("R2+stab", ("loopself", 0), "under"))
+                    yield MoveSite("R2+stab", ("loop", 0, src), variant)
+            yield MoveSite("R2+stab", ("loopself", 0), "over")
+            yield MoveSite("R2+stab", ("loopself", 0), "under")
             if d.free_loops > 1:
                 for variant in ("a_over", "a_under", "b_over", "b_under"):
-                    sites.append(MoveSite("R2+stab", ("loops", 0, 1), variant))
-
-    sites.sort(key=MoveSite.sort_key)
-    return sites
+                    yield MoveSite("R2+stab", ("loops", 0, 1), variant)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +174,14 @@ def enumerate_moves(d: Diagram, kinds=PLAIN_KINDS) -> list[MoveSite]:
 _E, _N, _W, _S = 0, 1, 2, 3  # counterclockwise quarter-turn angles
 
 
-def _removed(d: Diagram, site: MoveSite) -> frozenset[int]:
-    """The crossings an R1- or R2- site removes."""
+def _removed(d: Diagram, site: MoveSite) -> tuple[int, ...]:
+    """The crossings an R1- or R2- site removes, in increasing order."""
     if site.kind == "R1-":
-        return frozenset(site.where)
-    return frozenset(d.vertex_of[x] for x in site.where)
+        return tuple(site.where)
+    return tuple(sorted(d.vertex_of[x] for x in site.where))
 
 
-def _excise(d: Diagram, removed: frozenset[int]):
+def _excise(d: Diagram, removed: tuple[int, ...]):
     """Drop the passes of the given vertices and renumber the rest in
     order, each kept vertex by the count of kept vertices before it;
     circuits left with no pass become free loops."""
@@ -314,9 +316,11 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     """Apply a site :func:`enumerate_moves` lists; rejects any other site,
     stale or repeating a listed one, and returns a valid diagram laid out
-    as :func:`vlink.codec.to_diagram` lays out a code."""
+    as :func:`vlink.codec.to_diagram` lays out a code.  The site is looked
+    for among its kind's sites as they are generated, unsorted, and the
+    search stops where it is found."""
     require_valid(d)
-    if site not in enumerate_moves(d, {site.kind}):
+    if site not in _sites(d, {site.kind}):
         raise MoveError(f"site {site} is not applicable")
     out = _apply_unchecked(d, site)
     if not out.is_valid:

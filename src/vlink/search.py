@@ -21,15 +21,20 @@ code, checked by ``diagram._check_passes``, without building a
 R1+, R2+ and R2+stab result, when labelled, records which state its R1-
 or R2- on the crossings the move added gives (the state it came from),
 and that down move is read from the record, not labelled.  Records sit
-in the bounded store ``_undone``, keyed by a state and a set of
-crossings, and are popped when read; a missing record costs only a
-label.  Only ``minimize`` and ``classify_corpus`` rank states: their
-search reads each state's rank when it lists the state, and ranks the
-states it reached but never listed from their representatives, outside
-the memo.
+in the bounded store ``_undone``, keyed by a state and the crossings
+the move adds or removes, in increasing order, and are popped when
+read; a missing record costs only a label.  Only ``minimize`` and
+``classify_corpus`` rank states: their search reads each state's rank
+when it lists the state, and ranks the states it reached but never
+listed from their representatives, outside the memo.  Their closed
+orbits are kept in the bounded memo ``_closed``, which a later search
+of theirs from any state of one reads instead of searching (see
+``_minimal_orbit``); ``orbit`` and ``equivalent`` neither read nor fill
+it.  ``invariant_table`` keeps each state's rows in ``_tables``.
 Replay does not use the memo: it builds each step's representative
-afresh, applies the step with ``moves.apply_move``, which checks the
-site against the listing and validates the result, and labels the result.
+afresh, applies the step with ``moves.apply_move``, which looks for the
+site among its kind's sites as they are generated and validates the
+result, and labels the result.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -130,9 +135,10 @@ class _Listing:
 
     An R1- or R2- site that undoes an up move some listing labelled is
     read, not labelled: labelling the up move's result records, in
-    ``_undone`` under the result's state and the set of crossings the
-    move added, the state it came from, and the site pops the record
-    under its own state and the crossings ``moves._removed`` names.
+    ``_undone`` under the result's state and the crossings the move
+    added, in increasing order, the state it came from, and the site
+    pops the record under its own state and the crossings
+    ``moves._removed`` names.
     Excising the passes an up move spliced in restores its code, whatever
     the curl variant or the bigon, so a record only saves a label, and
     the pairs are the same.
@@ -181,7 +187,7 @@ class _Listing:
             # the edit numbers the new crossings last, and crossing k of
             # cs2 is vertex k - 1 of its representative
             n = len(named)
-            _undone[cs2, frozenset(int(named[v]) - 1 for v in range(n - growth, n))] = self._cs
+            _undone[cs2, tuple(sorted(int(named[v]) - 1 for v in range(n - growth, n)))] = self._cs
             if len(_undone) > _UNDONE_SIZE:
                 _undone.popitem(last=False)
         return cs2
@@ -196,7 +202,17 @@ _successors = functools.lru_cache(maxsize=_MEMO_SIZE)(_Listing)
 # an OrderedDict, since taking a plain dict's first key rescans the slots
 # of the keys deleted before it
 _UNDONE_SIZE = 2**16
-_undone: OrderedDict[tuple[str, frozenset[int]], str] = OrderedDict()
+_undone: OrderedDict[tuple[str, tuple[int, ...]], str] = OrderedDict()
+
+# (state, crossing cap) -> (parents, least rank) of the closed ranking
+# search whose orbit holds the state: one entry per orbit, which each of
+# its states names; whole orbits are dropped, the oldest first, to keep
+# at most _CLOSED_SIZE states
+_CLOSED_SIZE = 2**15
+_closed: OrderedDict[tuple[str, int], tuple[dict, tuple]] = OrderedDict()
+
+# (canonical string, quandles) -> invariant_table's rows; oldest dropped first
+_tables: OrderedDict[tuple[str, tuple], tuple[tuple[str, str], ...]] = OrderedDict()
 
 
 class _Budget:
@@ -313,10 +329,20 @@ def invariant_rows(quandles=DEFAULT_QUANDLES):
 def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, str], ...]:
     """Each row of :func:`invariant_rows` with its value on ``d`` as a
     string.  An invalid diagram raises ``DiagramError``, and one above the
-    state-sum cap ``StateSumLimitError``, before any row is computed."""
+    state-sum cap ``StateSumLimitError``, before any row is computed or
+    read from ``_tables``."""
     require_valid(d)
     check_state_sum_cap(d)
-    return tuple((name, str(value(d))) for name, value in invariant_rows(quandles))
+    quandles = tuple(quandles)
+    key = (canonical_string(d), quandles)
+    table = _tables.get(key)
+    if table is None:
+        # every row is an isomorphism invariant: the table is the state's
+        table = _tables[key] = tuple((name, str(value(d)))
+                                     for name, value in invariant_rows(quandles))
+        if len(_tables) > _MEMO_SIZE:
+            _tables.popitem(last=False)
+    return table
 
 
 def _replay(start_cs: str, path, end_cs: str) -> bool:
@@ -383,12 +409,36 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
 
 def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     """The search of ``d``'s orbit and its least ``_rank``; a state the
-    search reached but never listed is ranked with no listing."""
-    search = _Search(canonical_string(d), _Budget(bounds, 1))
+    search reached but never listed is ranked with no listing.
+
+    A closed orbit is kept in ``_closed``, and a later search from any of
+    its states that could not stop sooner (no ``max_depth``, and a
+    ``max_states`` that admits the whole orbit) takes a copy of its
+    parents and its least rank instead of searching.  Every listed move
+    has a listed inverse within the cap, so a search from any member
+    closes on the same states with the same least rank; the copy's walks
+    back end at the orbit's first start, which need not be ``d``."""
+    cs, cap = canonical_string(d), bounds.max_crossings
+    search = _Search(cs, _Budget(bounds, 1))
+    closed = _closed.get((cs, cap))
+    if (closed is not None and bounds.max_depth is None
+            and search.budget.states >= len(closed[0]) - 1):
+        search.parents, search.frontier = dict(closed[0]), []
+        return search, closed[1]
     search.least = (math.inf,)
     search.run()
-    return search, min([search.least, *(_rank(_from_canonical(cs), cs)
-                                        for cs in search.frontier)])
+    if search.budget.truncated:
+        return search, min([search.least, *(_rank(_from_canonical(state), state)
+                                            for state in search.frontier)])
+    if len(search.parents) <= _CLOSED_SIZE:
+        entry = (dict(search.parents), search.least)
+        for state in search.parents:
+            _closed[state, cap] = entry
+        while len(_closed) > _CLOSED_SIZE:
+            (_, old_cap), (parents, _) = _closed.popitem(last=False)
+            for state in parents:
+                _closed.pop((state, old_cap), None)
+    return search, search.least
 
 
 def minimize(d: Diagram, bounds: SearchBounds) -> MinimizeResult:
@@ -454,12 +504,14 @@ def classify_corpus(diagrams, bounds: SearchBounds,
     and joins every earlier class of its group whose orbit it meets.  A
     class is its members and one map of paths, its first search's
     parents, to which each class it absorbs adds the states it lacks;
-    every walk back ends at a member.  Every merge is certified by
-    replaying its paths.  Each pair of classes left apart within a group
-    is reported unresolved, and each corpus member of another group that
-    a class's orbit reaches is reported as a violation.  Every diagram is
-    validated, and checked against the bounds and then the state-sum cap,
-    before any is labelled; the first offender in corpus order is named.
+    every walk back ends at a member, or at the start of an orbit that
+    ``_minimal_orbit`` kept, whose path to the member is replayed first.
+    Every merge is certified by replaying its paths.  Each pair of
+    classes left apart within a group is reported unresolved, and each
+    corpus member of another group that a class's orbit reaches is
+    reported as a violation.  Every diagram is validated, and checked
+    against the bounds and then the state-sum cap, before any is
+    labelled; the first offender in corpus order is named.
     """
     diagrams = [require_valid(d) for d in diagrams]
     bounds.check(*diagrams)
@@ -483,6 +535,8 @@ def classify_corpus(diagrams, bounds: SearchBounds,
             home[0].append(cs)
             continue
         search, (_, _, witness_of[cs]) = _minimal_orbit(entries[cs], bounds)
+        if search.parents[cs] is not None:
+            _certify(search.parents, cs)  # a kept orbit, searched from another start
         explored += len(search.parents)
         met = []
         for cls in group:

@@ -1,5 +1,6 @@
 """Shared corpus generators for the test suite (seeded, deterministic),
-and the comparison with golden output files."""
+the reset of the library's memos, and the comparison with golden output
+files."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import vlink.search
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import Diagram, canonical_string
+from vlink.diagram import Diagram, _layout, canonical_string
 
 
 def random_code_text(rng: random.Random, max_v: int = 6, max_comps: int = 3,
@@ -95,6 +97,15 @@ def _connected_diagrams(max_v: int) -> tuple[Diagram, ...]:
                         continue
                     out.setdefault(canonical_string(d), d)
     return tuple(out[k] for k in sorted(out))
+
+
+def clear_memos() -> None:
+    """Empty every per-process memo of the library, so that the next
+    search starts cold."""
+    for cache in (canonical_string, _layout, vlink.search._successors):
+        cache.cache_clear()
+    for memo in (vlink.search._undone, vlink.search._closed, vlink.search._tables):
+        memo.clear()
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -15,6 +15,8 @@ from vlink.diagram import (
     _check_passes,
     _from_passes,
     _label,
+    _layout,
+    _scan,
     canonical_string,
     disjoint_union,
     mirror,
@@ -419,6 +421,32 @@ def test_tables_of_an_invalid_diagram_raise():
         assert str(info.value) == message, name
     with pytest.raises(DiagramError, match="free loop count is negative"):
         genus(Diagram((), (), (), (), free_loops=-1))
+
+
+def test_scan_reads_the_shared_layout_as_its_loop_does():
+    # a map on _from_passes's layout takes its rotation tables from the
+    # shared layout; the same rotations as a list take the per-rotation
+    # loop, and both paths give the same violations and tables, also with
+    # one entry of another field broken
+    rng = random.Random(67)
+    corpus = random_diagrams(47, 300, max_v=5, max_comps=3, max_loops=2)
+    broken = []
+    for d in corpus[::3]:
+        if not d.n_vertices:
+            continue
+        x, v = rng.randrange(d.n_darts), rng.randrange(d.n_vertices)
+        edge, inbound, over = list(d.edge_pair), list(d.inbound), list(d.over_pair)
+        edge[x] = rng.randrange(-1, d.n_darts + 1)
+        inbound[x] = not inbound[x]
+        over[v] = (4 * v, 4 * v + 1)
+        broken += [dataclasses.replace(d, edge_pair=tuple(edge)),
+                   dataclasses.replace(d, inbound=tuple(inbound)),
+                   dataclasses.replace(d, over_pair=tuple(over))]
+    assert sum(bool(validate(d)) for d in broken) > len(broken) // 2
+    for d in corpus + broken:
+        assert d.rotations == _layout(d.n_vertices)[0]
+        assert _scan(d) == _scan(dataclasses.replace(d, rotations=list(d.rotations)))
+    assert all(d.rotations is _layout(d.n_vertices)[0] for d in corpus)
 
 
 def test_canonical_cache_is_bounded():

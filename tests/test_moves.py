@@ -297,3 +297,32 @@ def test_r2_minus_lists_the_bigon_whose_site_sorts_first():
     assert enumerate_moves(d, {"R2-"}) == [MoveSite("R2-", (11, 12))]
     with pytest.raises(MoveError):
         apply_move(d, MoveSite("R2-", (8, 15)))
+
+
+def test_apply_move_accepts_exactly_the_listed_sites():
+    # apply_move stops at its own site among its kind's unsorted sites:
+    # of every site, repeats included, it applies those enumerate_moves
+    # lists, as _apply_unchecked builds them, and refuses the rest
+    corpus = (random_diagrams(71, 20, max_v=3, max_comps=3, max_loops=3)
+              + all_connected_diagrams(3)[::60] + [to_diagram(parse_gauss(TWO_BIGONS))])
+    refused = Counter()
+    for d in corpus:
+        listed = set(enumerate_moves(d, ALL_KINDS))
+        for site in every_site(d, ALL_KINDS):
+            if site in listed:
+                assert apply_move(d, site) == _apply_unchecked(d, site)
+                continue
+            with pytest.raises(MoveError):
+                apply_move(d, site)
+            if site.kind == "R2-":
+                refused["second bigon"] += 1
+            elif isinstance(site.where[0], int):
+                refused["mirrored push"] += 1
+            else:
+                refused["loop 1"] += 1
+        # a site of a diagram with one crossing more is stale here
+        for site in (MoveSite("R1-", (d.n_vertices,)), MoveSite("R1+", (d.n_darts,), "lo"),
+                     MoveSite("R2+", (d.n_darts, d.n_darts), "over")):
+            with pytest.raises(MoveError):
+                apply_move(d, site)
+    assert set(refused) == {"second bigon", "mirrored push", "loop 1"}

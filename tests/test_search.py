@@ -9,7 +9,7 @@ from collections import OrderedDict
 import pytest
 
 from vlink.codec import MAX_FREE_LOOPS, GaussCodeError, _from_canonical, parse_gauss, to_diagram
-from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, stats
+from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, relabel, stats
 from vlink.invariants import StateSumLimitError, dihedral_quandle
 import vlink.search
 from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked
@@ -28,7 +28,7 @@ from vlink.search import (
 )
 from vlink.surface import genus
 
-from helpers import all_connected_diagrams, random_diagram, random_diagrams
+from helpers import all_connected_diagrams, clear_memos, random_diagram, random_diagrams
 from oracles import full_listing, naive_minimize, naive_orbit
 
 TREFOIL = to_diagram(parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+"))
@@ -213,11 +213,6 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
     assert skipped == 22906
 
 
-def _clear_memos():
-    _successors.cache_clear()
-    vlink.search._undone.clear()
-
-
 def _pairs(cs: str, cap: int) -> list:
     """The (site, canonical result) successors of ``cs``, without the memo
     and without records of up moves."""
@@ -237,17 +232,17 @@ def test_results_do_not_depend_on_memo_state():
                 equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=300)),
                 classify_corpus([UNKNOT, KINK, DOUBLED, VT], SearchBounds(4, max_states=80)))
 
-    _clear_memos()
+    clear_memos()
     cold = run()
     assert run() == cold
-    _clear_memos()
+    clear_memos()
     assert run() == cold
 
 
 def test_orbit_and_minimize_match_oracle_after_other_caps_warm_the_memo(corpus_v3):
     # the oracle expands without the memo; the searches under test read
     # successors that searches at the same and at larger caps stored first
-    _clear_memos()
+    clear_memos()
     for d in corpus_v3[::10]:
         cap = max(d.n_vertices, 1)
         orbit(d, SearchBounds(cap, max_states=5))
@@ -268,7 +263,7 @@ def test_successors_are_kept_per_crossing_cap():
     fresh = {cap: _pairs(cs, cap) for cap in (3, 4)}
     assert set(fresh[3]) < set(fresh[4])
     for caps in ((3, 4), (4, 3)):
-        _clear_memos()
+        clear_memos()
         for cap in caps:
             assert list(_successors(cs, cap)) == fresh[cap]
     assert _successors.cache_info().currsize == 2
@@ -281,7 +276,7 @@ def test_successors_are_computed_as_far_as_read(monkeypatch):
     real = vlink.search._edit
     monkeypatch.setattr(vlink.search, "_edit",
                         lambda d, site: applied.append(site) or real(d, site))
-    _clear_memos()
+    clear_memos()
     listing = _successors(cs, 4)
     first = iter(listing)
     assert [next(first), next(first)] == fresh[:2]
@@ -314,7 +309,7 @@ def _check_resumes_after(monkeypatch, error):
         return real(d, site)
 
     monkeypatch.setattr(vlink.search, "_edit", stop_third)
-    _clear_memos()
+    clear_memos()
     with pytest.raises(type(error)):
         list(_successors(cs, 4))
     assert _successors(cs, 4).pairs == fresh[:2]
@@ -374,6 +369,37 @@ def test_rep_rejects_malformed_states(cs):
 def test_memos_are_bounded():
     assert _successors.cache_info().maxsize == 2**12
     assert vlink.search._UNDONE_SIZE == 2**16
+    assert vlink.search._CLOSED_SIZE == 2**15
+    assert vlink.search._MEMO_SIZE == 2**12
+
+
+def test_kept_tables_drop_the_oldest_first(monkeypatch):
+    monkeypatch.setattr(vlink.search, "_MEMO_SIZE", 2)
+    clear_memos()
+    for d in (UNKNOT, KINK, TREFOIL):
+        invariant_table(d)
+    assert [cs for cs, _ in vlink.search._tables] == [canonical_string(KINK),
+                                                        canonical_string(TREFOIL)]
+
+
+def test_kept_orbits_drop_the_oldest_orbit_first(monkeypatch):
+    # every state of a closed orbit names it, and the states of the oldest
+    # orbit go together; an orbit larger than the bound is not kept
+    bounds = SearchBounds(3, max_states=None)
+    starts = (VT, TREFOIL, to_diagram(parse_gauss("O1- O2- U1- U2-")))
+    clear_memos()
+    sizes = [minimize(d, bounds).explored for d in starts]
+    assert sizes == [19, 1, 19] and len(vlink.search._closed) == sum(sizes)
+    monkeypatch.setattr(vlink.search, "_CLOSED_SIZE", sizes[1] + sizes[2] + 1)
+    clear_memos()
+    for d in starts:
+        minimize(d, bounds)
+    kept = vlink.search._closed
+    assert len(kept) == sizes[1] + sizes[2]
+    assert (canonical_string(VT), 3) not in kept
+    assert {(canonical_string(d), 3) for d in starts[1:]} <= set(kept)
+    assert minimize(UNKNOT, bounds).explored > len(kept) + 1
+    assert len(kept) == sizes[1] + sizes[2]
 
 
 def _counted(monkeypatch, name: str) -> list:
@@ -388,7 +414,7 @@ def test_orbit_labels_each_undone_up_move_once(monkeypatch):
     # 329 of its R1- and R2- results undo an up move labelled earlier, and
     # are read from its record
     labels = _counted(monkeypatch, "_label")
-    _clear_memos()
+    clear_memos()
     res = orbit(TREFOIL, SearchBounds(5, max_states=250))
     assert (len(res.states), res.truncated) == (216, False)
     assert len(labels) == 577
@@ -398,7 +424,7 @@ def test_only_ranking_searches_compute_genus(monkeypatch):
     # orbit and equivalent read no rank; minimize ranks each state it
     # reaches once, from the representative its listing holds
     calls = _counted(monkeypatch, "genus")
-    _clear_memos()
+    clear_memos()
     orbit(TREFOIL, SearchBounds(5, max_states=250))
     equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=300))
     assert calls == []
@@ -418,11 +444,11 @@ def test_records_are_bounded_and_change_no_orbit(monkeypatch):
     real = vlink.search._label
     monkeypatch.setattr(vlink.search, "_label",
                         lambda *args: sizes.append(len(vlink.search._undone)) or real(*args))
-    _clear_memos()
+    clear_memos()
     full = orbit(UNKNOT, SearchBounds(4, max_states=None))
     labelled = len(sizes)
     monkeypatch.setattr(vlink.search, "_UNDONE_SIZE", 64)
-    _clear_memos()
+    clear_memos()
     sizes.clear()
     small = orbit(UNKNOT, SearchBounds(4, max_states=None))
     assert small == full and len(small.states) == 1531
@@ -467,7 +493,7 @@ def test_down_moves_that_empty_a_circuit_read_their_record():
     # folded through a handle empties a circuit back into a free loop
     start = canonical_string(Diagram((), (), (), (), free_loops=2))
     for where in (("loop", 0), ("loops", 0, 1), ("loopself", 0)):
-        _clear_memos()
+        clear_memos()
         up = [(site, cs) for site, cs in _Listing(start, 2) if site.where == where]
         assert up
         for cs in sorted({cs for _, cs in up}):
@@ -526,12 +552,12 @@ def test_broken_edit_raises_before_it_is_labelled(monkeypatch):
 
     real = vlink.search._edit
     monkeypatch.setattr(vlink.search, "_edit", broken)
-    _clear_memos()
+    clear_memos()
     try:
         with pytest.raises(DiagramError, match="invalid signed Gauss code"):
             orbit(KINK, SearchBounds(max_crossings=3, max_states=100))
     finally:
-        _clear_memos()
+        clear_memos()
 
 
 def test_backward_step_without_inverse_raises(monkeypatch):
@@ -541,12 +567,12 @@ def test_backward_step_without_inverse_raises(monkeypatch):
     real = vlink.search.enumerate_moves
     monkeypatch.setattr(vlink.search, "enumerate_moves", lambda rep, kinds: [
         site for site in real(rep, kinds) if site.kind != "R1+" or not rep.n_vertices])
-    _clear_memos()
+    clear_memos()
     try:
         with pytest.raises(SearchError, match="no inverse"):
             equivalent(UNKNOT, DOUBLED, SearchBounds(max_crossings=3, max_states=4000))
     finally:
-        _clear_memos()
+        clear_memos()
 
 
 def test_equivalent_distinguishes_trefoil_from_unknot_by_colorings():
@@ -641,7 +667,7 @@ def test_minimize_trefoil_upper_bound_under_tight_budget():
 def test_minimize_many_free_loops_is_fast():
     # a state's listing grows linearly with its free loops
     d = Diagram((), (), (), (), free_loops=MAX_FREE_LOOPS)
-    _clear_memos()
+    clear_memos()
     start = time.perf_counter()
     res = minimize(d, SearchBounds(max_crossings=2, max_states=None))
     assert time.perf_counter() - start < 2
@@ -688,16 +714,44 @@ def test_classify_reports_a_reachable_member_with_other_invariants(monkeypatch):
     assert "violations: none" not in report.to_text()
 
 
-def test_classify_reuses_successors_of_overlapping_orbits():
+def test_classify_reuses_successors_of_overlapping_orbits(monkeypatch):
+    # the unknot's closed orbit is the kink's: a later classify takes it
+    # from the kept orbits, so it builds no listing and labels nothing,
+    # and it reports what a cold classify reports
     bounds = SearchBounds(max_crossings=3, max_states=200)
-    _clear_memos()
+    clear_memos()
     cold = classify_corpus([KINK, DOUBLED], bounds)
-    _clear_memos()
+    clear_memos()
     classify_corpus([UNKNOT, VT], bounds)
-    hits = _successors.cache_info().hits
-    # the unknot's orbit is the kink's
+    built = _successors.cache_info().misses
+    labels = _counted(monkeypatch, "_label")
     assert classify_corpus([KINK, DOUBLED], bounds) == cold
-    assert _successors.cache_info().hits > hits
+    assert _successors.cache_info().misses == built and labels == []
+
+
+def _minimized(d: Diagram, bounds: SearchBounds) -> tuple:
+    m = minimize(d, bounds)
+    return canonical_string(m.witness), m.total_genus, m.crossings, m.certified, m.explored
+
+
+def test_kept_orbits_change_no_minimize(monkeypatch, corpus_v3):
+    # each member searched cold, with no orbit kept (and a listing memo
+    # that holds every cap-4 state, for speed), against each member in
+    # turn with the orbits earlier members closed
+    bounds = SearchBounds(4)
+    clear_memos()
+    with monkeypatch.context() as m:
+        m.setattr(vlink.search, "_CLOSED_SIZE", 0)
+        m.setattr(vlink.search, "_successors",
+                  functools.lru_cache(maxsize=2**15)(vlink.search._Listing))
+        cold = [_minimized(d, bounds) for d in corpus_v3]
+    assert not vlink.search._closed
+    runs = []
+    real = vlink.search._Search.run
+    monkeypatch.setattr(vlink.search._Search, "run", lambda self: runs.append(self) or real(self))
+    assert [_minimized(d, bounds) for d in corpus_v3] == cold
+    # one search per closed orbit: the pinned V<=3 report's 275 classes
+    assert len(runs) == 275
 
 
 def test_each_state_is_parsed_once(monkeypatch):
@@ -706,11 +760,11 @@ def test_each_state_is_parsed_once(monkeypatch):
     calls = []
     real = vlink.search._from_canonical
     monkeypatch.setattr(vlink.search, "_from_canonical", lambda cs: calls.append(cs) or real(cs))
-    _clear_memos()
+    clear_memos()
     m = minimize(DOUBLED, SearchBounds(4, max_states=300))
     assert len(calls) == m.explored + 1 == 301
     calls.clear()
-    _clear_memos()
+    clear_memos()
     classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(3, max_states=200))
     assert len(calls) == 120
 
@@ -739,7 +793,7 @@ def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
 def test_ranking_an_unlisted_state_builds_no_listing():
     # a truncated search ranks the states it reached but never listed from
     # their representatives: the memo holds only the listings it read
-    _clear_memos()
+    clear_memos()
     search, rank = _minimal_orbit(UNKNOT, SearchBounds(4, max_states=50))
     assert search.frontier
     assert _successors.cache_info().currsize == len(search.parents) - len(search.frontier)
@@ -772,12 +826,50 @@ def test_classify_joins_through_the_paths_of_a_merged_class():
 
 def test_classify_report_of_the_v3_corpus_at_cap_4(corpus_v3):
     # the whole report, pinned: classes, witnesses, invariants, unresolved
-    # pairs and violations
+    # pairs and violations; computed cold and then again with every orbit
+    # and table kept
+    clear_memos()
     report = classify_corpus(corpus_v3, SearchBounds(4, max_states=60000))
     assert (len(report.classes), len(report.unresolved), report.explored) == (275, 684, 21853)
     assert report.violations == ()
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == (
         "4608a0f88cf8e62a16f6226a9d9a541af6c4f27e16abb7f6a735b0ecaf2c0f77")
+    assert classify_corpus(corpus_v3, SearchBounds(4, max_states=60000)) == report
+
+
+def test_kept_tables_change_no_table(corpus_v3):
+    # cold, each table computed on an empty memo; warm, read for a
+    # relabelled copy of each diagram
+    clear_memos()
+    cold = [invariant_table(d) for d in corpus_v3]
+    assert len(vlink.search._tables) == len(corpus_v3)
+    warm = [invariant_table(relabel(d, list(range(d.n_vertices))[::-1])) for d in corpus_v3]
+    assert warm == cold and len(vlink.search._tables) == len(corpus_v3)
+
+
+def test_a_kept_orbit_is_read_only_by_searches_it_answers():
+    # a search whose budget could stop it before the orbit closes searches
+    # as it would with nothing kept, and truncates; a budget that admits
+    # the whole orbit reads it
+    full = SearchBounds(3, max_states=None)
+    clear_memos()
+    n = minimize(KINK, full).explored
+    for bounds in (SearchBounds(3, max_states=n - 1), SearchBounds(3, max_depth=1, max_states=None)):
+        assert (canonical_string(DOUBLED), 3) in vlink.search._closed
+        warm = _minimized(DOUBLED, bounds)
+        clear_memos()
+        assert _minimized(DOUBLED, bounds) == warm and not warm[3]
+        minimize(KINK, full)
+    search, rank = _minimal_orbit(DOUBLED, SearchBounds(3, max_states=n))
+    assert search.parents[canonical_string(DOUBLED)] is not None  # read, from the kink's search
+    assert (len(search.parents), search.frontier) == (n, [])
+    assert rank == _minimal_orbit(KINK, full)[1]
+    # the memo keeps and hands out copies: a caller that edits its
+    # parents, as classify_corpus edits a class's paths, changes no entry
+    clear_memos()
+    _minimal_orbit(KINK, full)[0].parents.clear()
+    _minimal_orbit(DOUBLED, full)[0].parents.clear()
+    assert len(_minimal_orbit(DOUBLED, full)[0].parents) == n
 
 
 def test_classify_reports_one_unresolved_pair_per_class_pair():
@@ -800,6 +892,20 @@ def test_classify_merge_that_fails_to_replay_raises(monkeypatch):
     for corpus in ([UNKNOT, KINK], [UNKNOT, DOUBLED]):
         with pytest.raises(SearchError, match="failed to replay"):
             classify_corpus(corpus, bounds)
+
+
+def test_classify_replays_a_kept_orbit_from_its_start(monkeypatch):
+    # the doubled kink's class takes the orbit the kink's search kept:
+    # its paths lead back to the kink, so the path from the kink to the
+    # doubled kink is replayed first, and a failed replay raises
+    bounds = SearchBounds(max_crossings=3, max_states=200)
+    clear_memos()
+    assert minimize(KINK, bounds).certified
+    report = classify_corpus([DOUBLED], bounds)
+    assert report.witnesses == ((canonical_string(DOUBLED), canonical_string(UNKNOT)),)
+    monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
+    with pytest.raises(SearchError, match="failed to replay"):
+        classify_corpus([DOUBLED], bounds)
 
 
 def test_classify_three_classes():

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import collections
 import importlib
 import subprocess
 import sys
@@ -56,6 +57,36 @@ def test_every_cache_has_a_size_bound():
                     found.append(f"{where}: lru_cache maxsize {value!r}")
                 checked += 1
     assert checked and found == []
+
+
+def test_one_reset_empties_every_memo():
+    # tests reset the library's memos through helpers.clear_memos; a memo
+    # it misses would carry state from one test into the next.  Every
+    # lru_cache in a vlink module and every container search.py binds at
+    # module level must be empty after it
+    from vlink.diagram import UNKNOT
+    from vlink.search import SearchBounds, classify_corpus
+
+    from helpers import clear_memos
+
+    classify_corpus([UNKNOT], SearchBounds(2))
+    clear_memos()
+    caches = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("vlink" if path.stem == "__init__" else f"vlink.{path.stem}")
+        caches.update({id(value): value for value in vars(module).values()
+                       if hasattr(value, "cache_info")})
+    assert len(caches) >= 3
+    assert [c.__wrapped__.__name__ for c in caches.values() if c.cache_info().currsize] == []
+    tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
+    bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    search = importlib.import_module("vlink.search")
+    memos = {name: getattr(search, name) for name in bound
+             if isinstance(getattr(search, name), (dict, list, set, collections.deque))}
+    assert {"_undone", "_closed", "_tables"} <= set(memos)
+    assert [name for name, memo in memos.items() if memo] == []
 
 
 def test_every_export_is_defined_once():
