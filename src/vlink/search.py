@@ -31,10 +31,16 @@ orbits are kept in the bounded memo ``_closed``, which a later search
 of theirs from any state of one reads instead of searching (see
 ``_minimal_orbit``); ``orbit`` and ``equivalent`` neither read nor fill
 it.  ``invariant_table`` keeps each state's rows in ``_tables``.
-Replay does not use the memo: it builds each step's representative
+Replay reads none of these memos: it builds each step's representative
 afresh, applies the step with ``moves.apply_move``, which looks for the
 site among its kind's sites as they are generated and validates the
-result, and labels the result.
+result, and labels the result.  It keeps only the steps it verified
+itself, in the bounded record ``_replayed`` of (state, site) -> the state
+the step gives, oldest dropped first; a step whose record names the state
+its path names is not applied again, and any other step, unrecorded or
+naming another state, is replayed in full.  By Kuperberg's theorem a
+verified step is a fact about the state, true for the rest of the
+process.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -211,6 +217,11 @@ _undone: OrderedDict[tuple[str, tuple[int, ...]], str] = OrderedDict()
 _CLOSED_SIZE = 2**15
 _closed: OrderedDict[tuple[str, int], tuple[dict, tuple]] = OrderedDict()
 
+# (state, site) -> the state it gives, for each step _replay applied and
+# found to give the state its path names; oldest dropped first
+_REPLAYED_SIZE = 2**14
+_replayed: OrderedDict[tuple[str, MoveSite], str] = OrderedDict()
+
 # (canonical string, quandles) -> invariant_table's rows; oldest dropped first
 _tables: OrderedDict[tuple[str, tuple], tuple[tuple[str, str], ...]] = OrderedDict()
 
@@ -347,15 +358,29 @@ def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, s
 
 def _replay(start_cs: str, path, end_cs: str) -> bool:
     """True when each step, applied by ``apply_move`` to the state
-    before it, gives the state it names, and the last is ``end_cs``."""
+    before it, gives the state it names, and the last is ``end_cs``.
+
+    A step ``_replayed`` records with the state it names is not applied
+    again; any other step is, and is recorded once it gives that state.
+    A site that cannot be a key is applied and not recorded."""
     cs = start_cs
     for site, expected in path:
+        key = (cs, site)
         try:
-            result = apply_move(_from_canonical(cs), site)
-        except (MoveError, DiagramError):
-            return False
-        if canonical_string(result) != expected:
-            return False
+            known = _replayed.get(key)
+        except TypeError:
+            known = key = None
+        if known is None or known != expected:
+            try:
+                result = apply_move(_from_canonical(cs), site)
+            except (MoveError, DiagramError):
+                return False
+            if canonical_string(result) != expected:
+                return False
+            if key is not None:
+                _replayed[key] = expected
+                if len(_replayed) > _REPLAYED_SIZE:
+                    _replayed.popitem(last=False)
         cs = expected
     return cs == end_cs
 

@@ -104,7 +104,8 @@ def clear_memos() -> None:
     search starts cold."""
     for cache in (canonical_string, _layout, vlink.search._successors):
         cache.cache_clear()
-    for memo in (vlink.search._undone, vlink.search._closed, vlink.search._tables):
+    for memo in (vlink.search._undone, vlink.search._closed, vlink.search._tables,
+                 vlink.search._replayed):
         memo.clear()
 
 

@@ -12,7 +12,7 @@ from vlink.codec import MAX_FREE_LOOPS, GaussCodeError, _from_canonical, parse_g
 from vlink.diagram import UNKNOT, Diagram, DiagramError, canonical_string, relabel, stats
 from vlink.invariants import StateSumLimitError, dihedral_quandle
 import vlink.search
-from vlink.moves import MoveSite, apply_move, enumerate_moves, _apply_unchecked
+from vlink.moves import _GROWTH, MoveSite, apply_move, enumerate_moves, _apply_unchecked
 from vlink.search import (
     SearchBounds,
     SearchError,
@@ -371,6 +371,7 @@ def test_memos_are_bounded():
     assert vlink.search._UNDONE_SIZE == 2**16
     assert vlink.search._CLOSED_SIZE == 2**15
     assert vlink.search._MEMO_SIZE == 2**12
+    assert vlink.search._REPLAYED_SIZE == 2**14
 
 
 def test_kept_tables_drop_the_oldest_first(monkeypatch):
@@ -538,10 +539,81 @@ def test_replay_rejects_steps_apply_move_rejects(monkeypatch):
     assert _replay(loops, [(curl, after)], after)
     assert not _replay(loops, [(MoveSite("R1+", ("loop", 1), "lo"), after)], after)
 
-    # so does a result apply_move finds invalid
+    # a malformed site fails without raising, and is not recorded: one
+    # that cannot be a key, one of an unknown kind and one whose place has
+    # the wrong length
+    recorded = list(vlink.search._replayed.items())
+    for site in (MoveSite("R1-", [0]), MoveSite("R9", (0,)), MoveSite("R1-", (0, 0))):
+        assert not _replay(kink, [(site, unknot)], unknot)
+    assert list(vlink.search._replayed.items()) == recorded
+
+    # so does a result apply_move finds invalid; a recorded step is not
+    # applied again, so the step is replayed cold
     broken = Diagram(KINK.rotations, KINK.edge_pair, ((0, 1),), KINK.inbound, 0)
     monkeypatch.setattr(vlink.moves, "_apply_unchecked", lambda d, s: broken)
+    clear_memos()
     assert not _replay(kink, [(MoveSite("R1-", (0,)), unknot)], unknot)
+
+
+def _walk(d: Diagram, kinds) -> tuple[str, list]:
+    """A path from ``d``'s state: per kind, the first listed site that
+    reaches a state the path has not visited, applied by apply_move."""
+    cs = start = canonical_string(d)
+    path, seen = [], {cs}
+    for kind in kinds:
+        rep = _from_canonical(cs)
+        site, cs = next((site, cs2) for site in enumerate_moves(rep, {kind})
+                        for cs2 in [canonical_string(apply_move(rep, site))] if cs2 not in seen)
+        seen.add(cs)
+        path.append((site, cs))
+    return start, path
+
+
+def test_a_replayed_path_is_not_applied_again(monkeypatch):
+    start, path = _walk(TREFOIL, ("R2+", "R1+", "R2-"))
+    end = path[-1][1]
+    clear_memos()
+    applied = _counted(monkeypatch, "apply_move")
+    assert _replay(start, path, end) and len(applied) == 3
+    applied.clear()
+    assert _replay(start, path, end) and applied == []
+    # a path that leaves off its last step ends elsewhere
+    assert not _replay(start, path[:-1], end) and applied == []
+
+
+def test_mutated_paths_fail_while_the_steps_are_recorded():
+    # a step naming another state (the middle one, or the last one and
+    # the end with it), one step dropped and two steps swapped: each is
+    # refused cold, records no step it refused, and is refused again once
+    # the genuine path has been replayed and recorded
+    start, path = _walk(TREFOIL, ("R2+", "R1+", "R2-"))
+    end = path[-1][1]
+    mutants = (
+        ([path[0], (path[1][0], path[0][1]), path[2]], end),
+        ([path[0], path[1], (path[2][0], path[0][1])], path[0][1]),
+        ([path[0], path[2]], end),
+        ([path[0], path[2], path[1]], end),
+    )
+    states = [start] + [cs for _, cs in path]
+    genuine = {((states[i], site), cs) for i, (site, cs) in enumerate(path)}
+    clear_memos()
+    for _ in range(2):
+        assert not any(_replay(start, mutant, mutant_end) for mutant, mutant_end in mutants)
+        assert set(vlink.search._replayed.items()) <= genuine
+    assert _replay(start, path, end)
+    assert set(vlink.search._replayed.items()) == genuine
+    assert not any(_replay(start, mutant, mutant_end) for mutant, mutant_end in mutants)
+    assert _replay(start, path, end)
+
+
+def test_replayed_steps_drop_the_oldest_first(monkeypatch):
+    start, path = _walk(TREFOIL, ("R2+", "R1+", "R2-"))
+    monkeypatch.setattr(vlink.search, "_REPLAYED_SIZE", 2)
+    clear_memos()
+    assert _replay(start, path, path[-1][1])
+    states = [start] + [cs for _, cs in path]
+    assert list(vlink.search._replayed.items()) == [
+        ((states[i], site), cs) for i, (site, cs) in enumerate(path)][1:]
 
 
 def test_broken_edit_raises_before_it_is_labelled(monkeypatch):
@@ -756,7 +828,9 @@ def test_kept_orbits_change_no_minimize(monkeypatch, corpus_v3):
 
 def test_each_state_is_parsed_once(monkeypatch):
     # a state's listing reads its rank and its successors from one parse;
-    # minimize's one further parse rebuilds the witness
+    # minimize's one further parse rebuilds the witness.  classify's
+    # replays parse each step's state once: the doubled kink's path
+    # repeats the unknot-to-kink step the kink's path verified
     calls = []
     real = vlink.search._from_canonical
     monkeypatch.setattr(vlink.search, "_from_canonical", lambda cs: calls.append(cs) or real(cs))
@@ -766,7 +840,7 @@ def test_each_state_is_parsed_once(monkeypatch):
     calls.clear()
     clear_memos()
     classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(3, max_states=200))
-    assert len(calls) == 120
+    assert len(calls) == 119
 
 
 def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
@@ -775,6 +849,7 @@ def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
     # explored state once, and once more the witness
     small = functools.lru_cache(maxsize=64)(vlink.search._successors.__wrapped__)
     monkeypatch.setattr(vlink.search, "_successors", small)
+    clear_memos()
     calls = []
     real = vlink.search._from_canonical
     monkeypatch.setattr(vlink.search, "_from_canonical", lambda cs: calls.append(cs) or real(cs))
@@ -787,7 +862,7 @@ def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
     small.cache_clear()
     calls.clear()
     classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(4, max_states=1000))
-    assert len(calls) == 1003
+    assert len(calls) == 1002
 
 
 def test_ranking_an_unlisted_state_builds_no_listing():
@@ -906,6 +981,44 @@ def test_classify_replays_a_kept_orbit_from_its_start(monkeypatch):
     monkeypatch.setattr(vlink.search, "_replay", lambda *args: False)
     with pytest.raises(SearchError, match="failed to replay"):
         classify_corpus([DOUBLED], bounds)
+
+
+def _scrambled(rng: random.Random, d: Diagram, cap: int) -> Diagram:
+    """``d`` after 3 random moves, each applied by apply_move and each
+    result within ``cap`` crossings."""
+    for _ in range(3):
+        kinds = sorted(k for k, growth in _GROWTH.items() if d.n_vertices + growth <= cap)
+        sites = []
+        while not sites:
+            sites = enumerate_moves(d, {rng.choice(kinds)})
+        d = apply_move(d, rng.choice(sites))
+    return d
+
+
+def test_recorded_steps_change_no_classify_report(monkeypatch):
+    # seeded clusters of a base of at most 2 crossings, two scrambled
+    # copies of it and a random decoy, at cap 3: each classified with
+    # every memo cleared first, and then in turn with the memos kept
+    rng = random.Random(3601)
+    corpora = []
+    for _ in range(24):
+        base = random_diagram(rng, max_v=2, max_comps=2, max_loops=1)
+        copies = [_scrambled(rng, base, 3) for _ in range(2)]
+        corpora.append([base, *copies, random_diagram(rng, max_v=2, max_comps=2, max_loops=1)])
+    bounds = SearchBounds(3, max_states=500)
+    applied = _counted(monkeypatch, "apply_move")
+    cold = []
+    for corpus in corpora:
+        clear_memos()
+        cold.append(classify_corpus(corpus, bounds))
+    n_cold = len(applied)
+    clear_memos()
+    applied.clear()
+    assert [classify_corpus(corpus, bounds) for corpus in corpora] == cold
+    assert 0 < len(applied) < n_cold
+    for corpus, report in zip(corpora, cold):
+        base, *copies, _ = (canonical_string(d) for d in corpus)
+        assert any({base, *copies} <= set(cls) for cls in report.classes)
 
 
 def test_classify_three_classes():

@@ -64,12 +64,15 @@ def test_one_reset_empties_every_memo():
     # it misses would carry state from one test into the next.  Every
     # lru_cache in a vlink module and every container search.py binds at
     # module level must be empty after it
+    import vlink.search
+    from vlink.codec import parse_gauss, to_diagram
     from vlink.diagram import UNKNOT
     from vlink.search import SearchBounds, classify_corpus
 
     from helpers import clear_memos
 
-    classify_corpus([UNKNOT], SearchBounds(2))
+    classify_corpus([UNKNOT, to_diagram(parse_gauss("O1+ U1+"))], SearchBounds(2))
+    assert vlink.search._replayed  # the kink joins the unknot's class by a replayed path
     clear_memos()
     caches = {}
     for path in sorted(SRC.glob("*.py")):
@@ -85,7 +88,7 @@ def test_one_reset_empties_every_memo():
     search = importlib.import_module("vlink.search")
     memos = {name: getattr(search, name) for name in bound
              if isinstance(getattr(search, name), (dict, list, set, collections.deque))}
-    assert {"_undone", "_closed", "_tables"} <= set(memos)
+    assert {"_undone", "_closed", "_tables", "_replayed"} <= set(memos)
     assert [name for name, memo in memos.items() if memo] == []
 
 
@@ -172,6 +175,20 @@ def test_listing_labels_in_one_loop():
     listing = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "_Listing")
     assert not any(isinstance(node, ast.Try) for node in ast.walk(listing))
+
+
+def test_replay_reads_no_search_memo():
+    # a replayed step reaches its state only through apply_move and
+    # canonical_string, or through the record of a step _replay itself
+    # applied: no listing, up-move record, kept orbit or table, and no
+    # edit or label of the search's own
+    tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
+    replay = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_replay")
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(replay) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert {"apply_move", "canonical_string", "_replayed"} <= names
+    assert names & {"_successors", "_undone", "_closed", "_tables", "_label", "_edit"} == set()
 
 
 def test_listings_are_built_only_where_they_are_read():
