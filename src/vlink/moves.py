@@ -59,7 +59,7 @@ class MoveError(ValueError):
     """Stale or malformed move site; the input diagram is unchanged."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveSite:
     kind: str
     where: tuple

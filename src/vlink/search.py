@@ -8,27 +8,31 @@ path replays.  The move set here includes R2+stab, the
 stabilizing addition across distinct faces, without which
 genus-changing transitions would be unreachable.
 
-Each distinct state's representative is built once per crossing cap
-while its listing stays in the bounded memo ``_successors``, which every
-search shares and which holds only listings that a search reads.  A
-listing holds the state's successors, labelled in order only as far as
-some search has read them (see ``_Listing``).  The successors come from
-``moves.enumerate_moves``, which lists each distinct move once: a site
-it leaves out repeats the state of a site it lists earlier, so leaving
-it out changes no result.  Each is labelled from ``moves._edit``'s Gauss
-code, checked by ``diagram._check_passes``, without building a
-``Diagram``, except an R1- or R2- that undoes a recorded up move: every
-R1+, R2+ and R2+stab result, when labelled, records which state its R1-
-or R2- on the crossings the move added gives (the state it came from),
-and that down move is read from the record, not labelled.  Records sit
-in the bounded store ``_undone``, keyed by a state and the crossings
-the move adds or removes, in increasing order, and are popped when
-read; a missing record costs only a label.  Only ``minimize`` and
-``classify_corpus`` rank states: their search reads each state's rank
-when it lists the state, and ranks the states it reached but never
-listed from their representatives, outside the memo.  Their closed
-orbits are kept in the bounded memo ``_closed``, which a later search
-of theirs from any state of one reads instead of searching (see
+A search that lists a state builds its representative and reads its
+listing, ``_listing``: a generator of the state's successors that
+labels each site only when the search reaches it, so a search whose
+budget runs out part-way labels no more successors than it reads.  A
+breadth-first search lists each state once, so no listing is kept for
+another reader, and none outlives the search's pass over its state.
+The successors come from ``moves.enumerate_moves``, which lists each
+distinct move once: a site it leaves out repeats the state of a site it
+lists earlier, so leaving it out changes no result.  Each is labelled
+from ``moves._edit``'s Gauss code, checked by ``diagram._check_passes``,
+without building a ``Diagram``, except an R1- or R2- that undoes a
+recorded up move: every R1+, R2+ and R2+stab result, when labelled,
+records which state its R1- or R2- on the crossings the move added
+gives (the state it came from), and that down move is read from the
+record, not labelled.  Records sit in the bounded store ``_undone``,
+keyed by a state and the crossings the move adds or removes, in
+increasing order, and are popped when read; a missing record costs only
+a label.  ``equivalent`` walks back the backward half of a path with a
+fresh listing of each state on it, read only as far as the site that
+gives the previous state.  Only ``minimize`` and ``classify_corpus``
+rank states: their search reads each state's rank from the
+representative it lists the state from, and ranks the states it reached
+but never listed from representatives built for the rank alone.  Their
+closed orbits are kept in the bounded memo ``_closed``, which a later
+search of theirs from any state of one reads instead of searching (see
 ``_minimal_orbit``); ``orbit`` and ``equivalent`` neither read nor fill
 it.  ``invariant_table`` keeps each state's rows in ``_tables``.
 Replay reads none of these memos: it builds each step's representative
@@ -124,20 +128,16 @@ def _rank(rep: Diagram, cs: str):
     return (genus(rep).total, rep.n_vertices, cs)
 
 
-class _Listing:
-    """One state's (site, canonical result) pairs and, when read, its
-    minimize rank.
+def _listing(rep: Diagram, cs: str, max_crossings: int):
+    """State ``cs``'s (site, canonical result) pairs, from its
+    representative ``rep``, each labelled only when its reader reaches it.
 
     Built only where a search lists the state or ``equivalent`` walks
-    back a path, both of which read it at once, it takes the sites of the
-    moves that fit the crossing cap from ``enumerate_moves``, which keeps
-    the first site giving each state, so searches record the same parents
-    and paths as with every site applied.  A reader that reaches index
-    ``i`` of ``pairs`` labels ``sites[i]`` there, so a search whose budget
-    runs out part-way labels no more successors than it reads.  A label
-    that raises, or is interrupted, appends nothing, and the next reader
-    labels that site again.  When the last site is labelled, the
-    representative and the sites are released; readers then read ``pairs``.
+    back a path, and read there alone, it takes the sites of the moves
+    that fit the crossing cap from ``enumerate_moves``, which keeps the
+    first site giving each state, so searches record the same parents
+    and paths as with every site applied.  A label that raises raises to
+    the reader.
 
     An R1- or R2- site that undoes an up move some listing labelled is
     read, not labelled: labelling the up move's result records, in
@@ -149,59 +149,25 @@ class _Listing:
     the curl variant or the bigon, so a record only saves a label, and
     the pairs are the same.
     """
-
-    def __init__(self, cs: str, max_crossings: int):
-        rep = _from_canonical(cs)
-        self._cs = cs
-        self.pairs: list[tuple[MoveSite, str]] = []
-        room = max_crossings - rep.n_vertices
-        self._rep, self._sites = rep, enumerate_moves(
-            rep, {kind for kind, growth in _GROWTH.items() if growth <= room})
-
-    @functools.cached_property
-    def rank(self):
-        """The state's ``_rank``, from the representative while the
-        listing keeps it."""
-        rep = self._rep if self._rep is not None else _from_canonical(self._cs)
-        return _rank(rep, self._cs)
-
-    def __iter__(self):
-        pairs, i = self.pairs, 0
-        while self._rep is not None:
-            if i < len(pairs):
-                yield pairs[i]
-                i += 1
-                continue
-            if i < len(self._sites):
-                site = self._sites[i]
-                pairs.append((site, self._result(site)))
-            if len(pairs) == len(self._sites):
-                self._rep = self._sites = None
-        yield from pairs[i:]
-
-    def _result(self, site: MoveSite) -> str:
-        """The canonical string of ``site``'s result: read from the record
-        of an up move it undoes, or labelled from ``_edit``'s code."""
-        rep, growth = self._rep, _GROWTH[site.kind]
+    room = max_crossings - rep.n_vertices
+    for site in enumerate_moves(rep, {kind for kind, growth in _GROWTH.items() if growth <= room}):
+        growth = _GROWTH[site.kind]
         if growth < 0:
-            undone = _undone.pop((self._cs, _removed(rep, site)), None)
+            undone = _undone.pop((cs, _removed(rep, site)), None)
             if undone is not None:
-                return undone
+                yield site, undone
+                continue
         rows, free_loops = _edit(rep, site)
         cs2, named = _label(rows, _check_passes(rows), free_loops)
         if growth > 0:
             # the edit numbers the new crossings last, and crossing k of
             # cs2 is vertex k - 1 of its representative
             n = len(named)
-            _undone[cs2, tuple(sorted(int(named[v]) - 1 for v in range(n - growth, n)))] = self._cs
+            _undone[cs2, tuple(sorted(int(named[v]) - 1 for v in range(n - growth, n)))] = cs
             if len(_undone) > _UNDONE_SIZE:
                 _undone.popitem(last=False)
-        return cs2
+        yield site, cs2
 
-
-# distinct states whose listings are kept, per crossing cap
-_MEMO_SIZE = 2**12
-_successors = functools.lru_cache(maxsize=_MEMO_SIZE)(_Listing)
 
 # (state, removed crossings) -> the state R1- or R2- on them gives, recorded
 # by the up moves they undo and popped when read; oldest dropped first, by
@@ -222,7 +188,9 @@ _closed: OrderedDict[tuple[str, int], tuple[dict, tuple]] = OrderedDict()
 _REPLAYED_SIZE = 2**14
 _replayed: OrderedDict[tuple[str, MoveSite], str] = OrderedDict()
 
-# (canonical string, quandles) -> invariant_table's rows; oldest dropped first
+# (canonical string, quandles) -> invariant_table's rows, for at most
+# _MEMO_SIZE states; oldest dropped first
+_MEMO_SIZE = 2**12
 _tables: OrderedDict[tuple[str, tuple], tuple[tuple[str, str], ...]] = OrderedDict()
 
 
@@ -242,9 +210,10 @@ class _Search:
 
     ``parents`` maps each reached state to (previous state, site applied
     on the previous state's representative); the start maps to None.
-    Each layer expands the frontier in sorted order and successors in
-    ``_successors`` order, and the search stops at the first new state
-    the budget refuses.
+    Each layer expands the frontier in sorted order, each state from a
+    representative and a ``_listing`` that the layer alone reads and
+    drops before it lists the next state, and the search stops at the
+    first new state the budget refuses.
 
     ``least`` is None unless a ranking search (``_minimal_orbit``) set
     it before ``run``; it then holds the least rank of the states listed
@@ -269,10 +238,10 @@ class _Search:
         parents, frontier, cap = self.parents, [], budget.bounds.max_crossings
         order = sorted(self.frontier)
         for i, cs in enumerate(order):
-            listing = _successors(cs, cap)
+            rep = _from_canonical(cs)
             if self.least is not None:
-                self.least = min(self.least, listing.rank)
-            for site, cs2 in listing:
+                self.least = min(self.least, _rank(rep, cs))
+            for site, cs2 in _listing(rep, cs, cap):
                 if cs2 in parents:
                     continue
                 if budget.states <= 0:
@@ -417,10 +386,10 @@ def equivalent(d1: Diagram, d2: Diagram, bounds: SearchBounds,
         return SearchOutcome("unknown", None, (), explored, budget.truncated)
 
     path = _path(fwd.parents, meet)[1]
-    cs = meet
+    cs, cap = meet, bounds.max_crossings
     while bwd.parents[cs] is not None:
         prev = bwd.parents[cs][0]
-        back = next((site for site, cs3 in _successors(cs, bounds.max_crossings)
+        back = next((site for site, cs3 in _listing(_from_canonical(cs), cs, cap)
                      if cs3 == prev), None)
         if back is None:
             raise SearchError("equivalence path has a step with no inverse move")

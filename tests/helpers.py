@@ -102,7 +102,7 @@ def _connected_diagrams(max_v: int) -> tuple[Diagram, ...]:
 def clear_memos() -> None:
     """Empty every per-process memo of the library, so that the next
     search starts cold."""
-    for cache in (canonical_string, _layout, vlink.search._successors):
+    for cache in (canonical_string, _layout):
         cache.cache_clear()
     for memo in (vlink.search._undone, vlink.search._closed, vlink.search._tables,
                  vlink.search._replayed):

@@ -158,6 +158,22 @@ def test_stale_site_rejected():
         apply_move(UNKNOT, MoveSite("R1-", (0,)))
 
 
+def test_move_site_is_a_slotted_value():
+    # every kept path step holds a site, so a site has no instance dict;
+    # it still compares, hashes, sorts and copies by value, and one whose
+    # place holds a list is refused as a key
+    site = MoveSite("R2+", (3, 10), "over")
+    assert not hasattr(site, "__dict__")
+    assert site == MoveSite("R2+", (3, 10), "over") and hash(site) == hash(MoveSite(
+        "R2+", (3, 10), "over"))
+    assert site.sort_key() == ("R2+", ("3", "10"), "over")
+    assert dataclasses.replace(site, variant="under") == MoveSite("R2+", (3, 10), "under")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        site.variant = "under"
+    with pytest.raises(TypeError):
+        hash(MoveSite("R1-", [0]))
+
+
 def test_negative_loop_curl_applies():
     site = MoveSite("R1+", ("loop", 0), "ro")
     assert site in enumerate_moves(UNKNOT, {"R1+"})

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import random
@@ -16,10 +15,9 @@ from vlink.moves import _GROWTH, MoveSite, apply_move, enumerate_moves, _apply_u
 from vlink.search import (
     SearchBounds,
     SearchError,
-    _Listing,
+    _listing,
     _minimal_orbit,
     _replay,
-    _successors,
     classify_corpus,
     equivalent,
     invariant_table,
@@ -184,10 +182,15 @@ def _first_occurrences(pairs) -> list:
     return [(site, cs) for site, cs in pairs if not (cs in seen or seen.add(cs))]
 
 
+def _read(cs: str, cap: int) -> list:
+    """Every (site, canonical result) pair of a fresh listing of ``cs``."""
+    return list(_listing(_from_canonical(cs), cs, cap))
+
+
 def _check_listing(cs, cap, full) -> int:
     """The state's listing holds a subsequence of ``full`` with the same
     first occurrence of every state; returns how many pairs it skipped."""
-    got = list(_Listing(cs, cap))
+    got = _read(cs, cap)
     rest = iter(full)
     assert all(pair in rest for pair in got)
     assert _first_occurrences(got) == _first_occurrences(full)
@@ -214,12 +217,12 @@ def test_expand_keeps_the_first_site_of_every_state(corpus_v3):
 
 
 def _pairs(cs: str, cap: int) -> list:
-    """The (site, canonical result) successors of ``cs``, without the memo
-    and without records of up moves."""
+    """The (site, canonical result) successors of ``cs``, without records
+    of up moves."""
     store = vlink.search._undone
     vlink.search._undone = OrderedDict()
     try:
-        return list(_Listing(cs, cap))
+        return _read(cs, cap)
     finally:
         vlink.search._undone = store
 
@@ -239,9 +242,12 @@ def test_results_do_not_depend_on_memo_state():
     assert run() == cold
 
 
-def test_orbit_and_minimize_match_oracle_after_other_caps_warm_the_memo(corpus_v3):
-    # the oracle expands without the memo; the searches under test read
-    # successors that searches at the same and at larger caps stored first
+def test_orbit_and_minimize_match_oracle_after_other_caps_warm_the_memo(monkeypatch, corpus_v3):
+    # the oracle expands without records; the searches under test read
+    # the records of up moves that searches at the same and at larger caps
+    # left, and each lists every state of its closed orbit once, unless
+    # minimize reads an orbit a search of an earlier diagram kept
+    built = _counted(monkeypatch, "_listing")
     clear_memos()
     for d in corpus_v3[::10]:
         cap = max(d.n_vertices, 1)
@@ -249,99 +255,139 @@ def test_orbit_and_minimize_match_oracle_after_other_caps_warm_the_memo(corpus_v
         orbit(d, SearchBounds(cap + 1, max_states=40))
         minimize(d, SearchBounds(cap + 2, max_states=10))
         bounds = SearchBounds(cap, max_states=None)
+        assert vlink.search._undone
+        built.clear()
         res = orbit(d, bounds)
         states, trunc, explored = naive_orbit(d, bounds)
         assert (res.states, res.truncated, res.explored) == (states, trunc, explored)
+        assert sorted(cs for _, cs, _ in built) == sorted(states)
+        kept = (canonical_string(d), cap) in vlink.search._closed
+        built.clear()
         m = minimize(d, bounds)
         got = (canonical_string(m.witness), m.total_genus, m.crossings, m.certified, m.explored)
         assert got == naive_minimize(states, trunc)
-    assert _successors.cache_info().hits > 0
-
-
-def test_successors_are_kept_per_crossing_cap():
-    cs = canonical_string(DOUBLED)  # two crossings: one of room at cap 3, two at cap 4
-    fresh = {cap: _pairs(cs, cap) for cap in (3, 4)}
-    assert set(fresh[3]) < set(fresh[4])
-    for caps in ((3, 4), (4, 3)):
-        clear_memos()
-        for cap in caps:
-            assert list(_successors(cs, cap)) == fresh[cap]
-    assert _successors.cache_info().currsize == 2
+        assert len(built) == (0 if kept else explored)
 
 
 def test_successors_are_computed_as_far_as_read(monkeypatch):
     cs = canonical_string(DOUBLED)
     fresh = _pairs(cs, 4)
-    applied = []
-    real = vlink.search._edit
-    monkeypatch.setattr(vlink.search, "_edit",
-                        lambda d, site: applied.append(site) or real(d, site))
+    applied = _counted(monkeypatch, "_edit")
     clear_memos()
-    listing = _successors(cs, 4)
-    first = iter(listing)
-    assert [next(first), next(first)] == fresh[:2]
+    listing = _listing(_from_canonical(cs), cs, 4)
+    assert applied == []
+    assert [next(listing), next(listing)] == fresh[:2]
     assert len(applied) == 2
-    # a second reader gets the pairs read so far without recomputing them,
-    # then reads on; the first resumes where it stopped
-    assert next(itertools.islice(listing, 1, None)) == fresh[1]
-    assert len(applied) == 2
-    paused = iter(listing)
-    assert next(paused) == fresh[0]
-    assert list(first) == fresh[2:]
-    # the listing is complete: a new reader and the paused one see every pair
-    assert list(listing) == fresh
-    assert list(paused) == fresh[1:]
+    assert list(listing) == fresh[2:]
     assert len(applied) == len(fresh)
 
 
-def _check_resumes_after(monkeypatch, error):
-    """A read that ``error`` stops at the third label keeps the two pairs
-    before it; the next read labels the third site again and reads on."""
+def test_failed_label_raises_to_the_reader(monkeypatch):
+    # a label that raises ends the listing at that site, after the pairs
+    # read before it; an interruption does the same
     cs = canonical_string(DOUBLED)
     fresh = _pairs(cs, 4)
     real = vlink.search._edit
-    applied = []
+    for error in (DiagramError("invalid signed Gauss code"), KeyboardInterrupt()):
+        applied = []
 
-    def stop_third(d, site):
-        applied.append(site)
-        if len(applied) == 3:
-            raise error
-        return real(d, site)
+        def stop_third(d, site):
+            applied.append(site)
+            if len(applied) == 3:
+                raise error
+            return real(d, site)
 
-    monkeypatch.setattr(vlink.search, "_edit", stop_third)
+        monkeypatch.setattr(vlink.search, "_edit", stop_third)
+        clear_memos()
+        read = []
+        with pytest.raises(type(error)):
+            read.extend(_listing(_from_canonical(cs), cs, 4))
+        assert read == fresh[:2] and applied == [site for site, _ in fresh[:3]]
+
+
+def test_no_listing_outlives_its_reader(monkeypatch):
+    # a search drops each state's representative, and the listing read
+    # from it, before it lists the next state, and keeps none once it
+    # returns: only a returned witness stays alive
+    live, peaks = set(), []
+    real_rep, real_edit = vlink.search._from_canonical, vlink.search._edit
+
+    def rep(cs):
+        d = real_rep(cs)
+        live.add(weakref.ref(d, live.discard))
+        return d
+
+    monkeypatch.setattr(vlink.search, "_from_canonical", rep)
+    monkeypatch.setattr(vlink.search, "_edit",
+                        lambda d, site: peaks.append(len(live)) or real_edit(d, site))
+    listed = []
+    real_listing = vlink.search._listing
+    monkeypatch.setattr(vlink.search, "_listing",
+                        lambda d, cs, cap: listed.append(cs) or real_listing(d, cs, cap))
     clear_memos()
-    with pytest.raises(type(error)):
-        list(_successors(cs, 4))
-    assert _successors(cs, 4).pairs == fresh[:2]
-    assert list(_successors(cs, 4)) == fresh
-    assert applied[2] == applied[3] == fresh[2][0]
-    assert len(applied) == len(fresh) + 1
+    res = orbit(TREFOIL, SearchBounds(5, max_states=250))
+    assert not res.truncated and not live
+    assert orbit(DOUBLED, SearchBounds(4, max_states=300)).truncated and not live
+    for bounds in (SearchBounds(3, max_states=None), SearchBounds(4, max_states=300)):
+        m = minimize(DOUBLED, bounds)
+        assert m.certified == (bounds.max_states is None)
+        assert [ref() for ref in live] == [m.witness]
+        del m
+        assert not live
+    clear_memos()
+    report = classify_corpus([UNKNOT, KINK, DOUBLED, VT], SearchBounds(3, max_states=200))
+    assert len(report.classes) == 2 and not live
+    # the doubled kink's search meets the unknot's at the kink, which the
+    # walk back lists to reach the unknot
+    listed.clear()
+    out = equivalent(DOUBLED, UNKNOT, SearchBounds(4, max_states=300))
+    assert out.verdict == "equivalent" and not live
+    assert listed[-1] == canonical_string(KINK) and out.path[-1][1] == canonical_string(UNKNOT)
+    assert peaks and max(peaks) == 1
 
 
-def test_interrupted_successors_resume_where_they_stopped(monkeypatch):
-    _check_resumes_after(monkeypatch, KeyboardInterrupt())
+def test_walk_back_labels_only_as_far_as_the_previous_state(monkeypatch):
+    # each state on the backward half gets a fresh listing, read up to and
+    # including the first site that gives the previous state: no later
+    # site is labelled or read
+    reads = []  # per listing: its state, pairs read and labels
+    real_listing, real_edit, real_path = (vlink.search._listing, vlink.search._edit,
+                                          vlink.search._path)
 
+    def listing(d, cs, cap):
+        reads.append([cs, 0, 0])
+        for pair in real_listing(d, cs, cap):
+            reads[-1][1] += 1
+            yield pair
 
-def test_failed_label_is_labelled_again(monkeypatch):
-    _check_resumes_after(monkeypatch, DiagramError("invalid signed Gauss code"))
+    def edit(d, site):
+        reads[-1][2] += 1
+        return real_edit(d, site)
 
-
-def test_listing_releases_its_representative_when_complete(monkeypatch):
-    # a partly read listing keeps its representative for the sites still
-    # to label; a complete one keeps only its pairs
-    reps = []
-    real = vlink.search._from_canonical
-    monkeypatch.setattr(vlink.search, "_from_canonical",
-                        lambda cs: reps.append(weakref.ref(rep := real(cs))) or rep)
-    cs = canonical_string(DOUBLED)
-    fresh = _pairs(cs, 4)
-    partial = _Listing(cs, 4)
-    assert next(iter(partial)) == fresh[0]
-    full = _Listing(cs, 4)
-    assert list(full) == fresh
-    assert len(reps) == 3
-    assert reps[1]() is not None and reps[2]() is None
-    assert list(partial) == fresh and reps[1]() is None
+    walk_back = []
+    monkeypatch.setattr(vlink.search, "_listing", listing)
+    monkeypatch.setattr(vlink.search, "_edit", edit)
+    monkeypatch.setattr(vlink.search, "_path",
+                        lambda *args: walk_back.append(len(reads)) or real_path(*args))
+    # three kinks against the unknot: the searches meet two moves from
+    # the unknot
+    start = to_diagram(parse_gauss("O1+ U1+ O2+ U2+ O3+ U3+"))
+    bounds = SearchBounds(4, max_states=3000)
+    clear_memos()
+    out = equivalent(start, UNKNOT, bounds)
+    assert out.verdict == "equivalent" and len(out.path) == 3
+    back = reads[walk_back[0]:]
+    assert len(back) == 2
+    monkeypatch.undo()
+    steps = out.path[len(out.path) - len(back):]
+    skipped = 0
+    for (cs, n_read, labels), (site, prev) in zip(back, steps):
+        fresh = _pairs(cs, bounds.max_crossings)
+        i = next(i for i, (_, cs3) in enumerate(fresh) if cs3 == prev)
+        assert fresh[i][0] == site
+        assert n_read == i + 1 and 0 < labels <= i + 1
+        skipped += len(fresh) - n_read
+    assert skipped > 0
 
 
 def test_rep_builds_what_the_parser_builds(corpus_v3):
@@ -367,7 +413,6 @@ def test_rep_rejects_malformed_states(cs):
 
 
 def test_memos_are_bounded():
-    assert _successors.cache_info().maxsize == 2**12
     assert vlink.search._UNDONE_SIZE == 2**16
     assert vlink.search._CLOSED_SIZE == 2**15
     assert vlink.search._MEMO_SIZE == 2**12
@@ -423,7 +468,7 @@ def test_orbit_labels_each_undone_up_move_once(monkeypatch):
 
 def test_only_ranking_searches_compute_genus(monkeypatch):
     # orbit and equivalent read no rank; minimize ranks each state it
-    # reaches once, from the representative its listing holds
+    # reaches once, from the representative it lists the state from
     calls = _counted(monkeypatch, "genus")
     clear_memos()
     orbit(TREFOIL, SearchBounds(5, max_states=250))
@@ -431,7 +476,7 @@ def test_only_ranking_searches_compute_genus(monkeypatch):
     assert calls == []
     m = minimize(DOUBLED, SearchBounds(4, max_states=300))
     assert not m.certified and len(calls) == m.explored
-    # a listing that orbit completed ranks its state from a new parse
+    # each search parses the states it lists, whatever orbit listed before
     parses = _counted(monkeypatch, "_from_canonical")
     calls.clear()
     m = minimize(TREFOIL, SearchBounds(5, max_states=250))
@@ -474,13 +519,13 @@ def test_records_change_no_listing(monkeypatch, corpus_v3):
     store = OrderedDict()
     monkeypatch.setattr(vlink.search, "_undone", store)
     for case in cases:
-        list(_Listing(*case))
+        _read(*case)
     edits = _counted(monkeypatch, "_edit")
     read = 0
     for case in cases:
         cold = _pairs(*case)
         labelled = len(edits)
-        assert list(_Listing(*case)) == cold, case
+        assert _read(*case) == cold, case
         read += len(cold) - (len(edits) - labelled)
         cs, cap = case
         assert _first_occurrences(cold) == _first_occurrences(
@@ -495,13 +540,13 @@ def test_down_moves_that_empty_a_circuit_read_their_record():
     start = canonical_string(Diagram((), (), (), (), free_loops=2))
     for where in (("loop", 0), ("loops", 0, 1), ("loopself", 0)):
         clear_memos()
-        up = [(site, cs) for site, cs in _Listing(start, 2) if site.where == where]
+        up = [(site, cs) for site, cs in _read(start, 2) if site.where == where]
         assert up
         for cs in sorted({cs for _, cs in up}):
             store = vlink.search._undone
             records = [key for key, back in store.items() if key[0] == cs and back == start]
             assert records
-            pairs = list(_Listing(cs, 2))
+            pairs = _read(cs, 2)
             assert pairs == _pairs(cs, 2)
             assert not any(key in store for key in records)
             assert start in [cs2 for site, cs2 in pairs if site.kind in ("R1-", "R2-")]
@@ -795,10 +840,9 @@ def test_classify_reuses_successors_of_overlapping_orbits(monkeypatch):
     cold = classify_corpus([KINK, DOUBLED], bounds)
     clear_memos()
     classify_corpus([UNKNOT, VT], bounds)
-    built = _successors.cache_info().misses
-    labels = _counted(monkeypatch, "_label")
+    built, labels = _counted(monkeypatch, "_listing"), _counted(monkeypatch, "_label")
     assert classify_corpus([KINK, DOUBLED], bounds) == cold
-    assert _successors.cache_info().misses == built and labels == []
+    assert built == [] and labels == []
 
 
 def _minimized(d: Diagram, bounds: SearchBounds) -> tuple:
@@ -807,15 +851,12 @@ def _minimized(d: Diagram, bounds: SearchBounds) -> tuple:
 
 
 def test_kept_orbits_change_no_minimize(monkeypatch, corpus_v3):
-    # each member searched cold, with no orbit kept (and a listing memo
-    # that holds every cap-4 state, for speed), against each member in
-    # turn with the orbits earlier members closed
+    # each member searched cold, with no orbit kept, against each member
+    # in turn with the orbits earlier members closed
     bounds = SearchBounds(4)
     clear_memos()
     with monkeypatch.context() as m:
         m.setattr(vlink.search, "_CLOSED_SIZE", 0)
-        m.setattr(vlink.search, "_successors",
-                  functools.lru_cache(maxsize=2**15)(vlink.search._Listing))
         cold = [_minimized(d, bounds) for d in corpus_v3]
     assert not vlink.search._closed
     runs = []
@@ -844,34 +885,39 @@ def test_each_state_is_parsed_once(monkeypatch):
 
 
 def test_each_state_is_listed_once_when_the_memo_evicts(monkeypatch):
-    # a search reads each state's rank when it lists the state, so a memo
-    # far smaller than the orbit rebuilds no state: minimize parses each
-    # explored state once, and once more the witness
-    small = functools.lru_cache(maxsize=64)(vlink.search._successors.__wrapped__)
-    monkeypatch.setattr(vlink.search, "_successors", small)
+    # a search reads each state's rank from the representative it lists
+    # the state from, so it lists and parses each explored state once,
+    # and minimize parses once more the witness; classify lists and parses
+    # its three closed orbits' states once each, and parses each step it
+    # replays once
+    built = _counted(monkeypatch, "_listing")
+    parses = _counted(monkeypatch, "_from_canonical")
     clear_memos()
-    calls = []
-    real = vlink.search._from_canonical
-    monkeypatch.setattr(vlink.search, "_from_canonical", lambda cs: calls.append(cs) or real(cs))
     m = minimize(UNKNOT, SearchBounds(4, max_states=None))
-    assert m.certified and len(calls) == m.explored + 1 == 1532
-    small.cache_clear()
-    calls.clear()
-    minimize(DOUBLED, SearchBounds(4, max_states=300))
-    assert len(calls) == 301
-    small.cache_clear()
-    calls.clear()
+    assert m.certified and len(built) == m.explored == 1531 and len(parses) == 1532
+    assert len({cs for _, cs, _ in built}) == len(built)
+    clear_memos()
+    built.clear()
+    parses.clear()
+    search, _ = _minimal_orbit(DOUBLED, SearchBounds(4, max_states=300))
+    assert search.budget.truncated and len(parses) == len(search.parents) == 300
+    assert len(built) == len({cs for _, cs, _ in built}) == 300 - len(search.frontier)
+    clear_memos()
+    built.clear()
+    parses.clear()
     classify_corpus([UNKNOT, KINK, DOUBLED], SearchBounds(4, max_states=1000))
-    assert len(calls) == 1002
+    assert len(parses) == 1002 and len(built) == len({cs for _, cs, _ in built})
 
 
-def test_ranking_an_unlisted_state_builds_no_listing():
+def test_ranking_an_unlisted_state_builds_no_listing(monkeypatch):
     # a truncated search ranks the states it reached but never listed from
-    # their representatives: the memo holds only the listings it read
+    # their representatives: it builds listings only of the states it read
+    built = _counted(monkeypatch, "_listing")
     clear_memos()
     search, rank = _minimal_orbit(UNKNOT, SearchBounds(4, max_states=50))
     assert search.frontier
-    assert _successors.cache_info().currsize == len(search.parents) - len(search.frontier)
+    assert len(built) == len(search.parents) - len(search.frontier)
+    assert not {cs for _, cs, _ in built} & set(search.frontier)
     best, g, v, _, _ = naive_minimize(search.parents, True)
     assert rank == (g, v, best)
 

@@ -79,17 +79,34 @@ def test_one_reset_empties_every_memo():
         module = importlib.import_module("vlink" if path.stem == "__init__" else f"vlink.{path.stem}")
         caches.update({id(value): value for value in vars(module).values()
                        if hasattr(value, "cache_info")})
-    assert len(caches) >= 3
+    assert {c.__wrapped__.__name__ for c in caches.values()} >= {"canonical_string", "_layout"}
     assert [c.__wrapped__.__name__ for c in caches.values() if c.cache_info().currsize] == []
+    memos = _search_memos()
+    assert {"_undone", "_closed", "_tables", "_replayed"} <= set(memos)
+    assert [name for name, memo in memos.items() if memo] == []
+
+
+def _search_memos() -> dict:
+    """The containers and caches search.py binds at module level, by name."""
     tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
     bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
              if isinstance(target, ast.Name)}
     search = importlib.import_module("vlink.search")
-    memos = {name: getattr(search, name) for name in bound
-             if isinstance(getattr(search, name), (dict, list, set, collections.deque))}
-    assert {"_undone", "_closed", "_tables", "_replayed"} <= set(memos)
-    assert [name for name, memo in memos.items() if memo] == []
+    return {name: getattr(search, name) for name in bound
+            if isinstance(getattr(search, name), (dict, list, set, collections.deque))
+            or hasattr(getattr(search, name), "cache_info")}
+
+
+def test_search_keeps_no_listing_memo():
+    # a listing has one reader, the search that lists its state, so
+    # search.py memoizes no function and keeps only the up-move records,
+    # the closed orbits, the replayed steps and the invariant tables
+    tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
+    found = [f"search.py:{node.lineno}" for node in ast.walk(tree) if _is_lru_cache(node) or (
+        getattr(node, "id", getattr(node, "attr", None)) in ("cache", "cached_property"))]
+    assert found == []
+    assert sorted(_search_memos()) == ["_closed", "_replayed", "_tables", "_undone"]
 
 
 def test_every_export_is_defined_once():
@@ -161,19 +178,19 @@ def test_code_check_and_labeller_each_loop_once():
 
 
 def test_listing_labels_in_one_loop():
-    # a search listing labels each site where a reader reaches it: no
-    # second generator to resume, so no islice past the pairs already
-    # read and no handler in _Listing
+    # a search listing labels each site where its one reader reaches it:
+    # one generator, with no pairs kept for a second reader to resume
+    # past, so no islice and no handler in _listing
     tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert "_Listing" in defined and "_expand" not in defined
+    assert "_listing" in defined and not defined & {"_Listing", "_expand", "_successors"}
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert "islice" not in names
     listing = next(node for node in tree.body
-                   if isinstance(node, ast.ClassDef) and node.name == "_Listing")
+                   if isinstance(node, ast.FunctionDef) and node.name == "_listing")
     assert not any(isinstance(node, ast.Try) for node in ast.walk(listing))
 
 
@@ -188,13 +205,13 @@ def test_replay_reads_no_search_memo():
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(replay) if isinstance(node, (ast.Attribute, ast.Name))}
     assert {"apply_move", "canonical_string", "_replayed"} <= names
-    assert names & {"_successors", "_undone", "_closed", "_tables", "_label", "_edit"} == set()
+    assert names & {"_listing", "_undone", "_closed", "_tables", "_label", "_edit"} == set()
 
 
 def test_listings_are_built_only_where_they_are_read():
-    # in search.py the memo of listings is called only where a search
-    # lists a state and where equivalent walks back a path; a state that
-    # is only ranked gets no listing
+    # in search.py a listing is built only where a search lists a state
+    # and where equivalent walks back a path; a state that is only ranked
+    # gets no listing
     tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
     callers = []
 
@@ -203,7 +220,7 @@ def test_listings_are_built_only_where_they_are_read():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_successors":
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_listing":
                 callers.append(".".join(scope))
             visit(child, scope)
 
