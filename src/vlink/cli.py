@@ -94,15 +94,16 @@ def _bounds(args, *diagrams: Diagram) -> SearchBounds:
                         max_states=args.max_states)
 
 
-def _add_search_args(sub) -> None:
+def _add_search_args(sub, quandles: bool) -> None:
     sub.add_argument("--max-crossings", type=int, default=None,
                      help="crossing cap during search (default: input size + 2)")
     sub.add_argument("--max-depth", type=int, default=None,
                      help="move count cap (default: unbounded)")
     sub.add_argument("--max-states", type=int, default=SearchBounds.max_states,
                      help=f"visited state cap (default: {SearchBounds.max_states})")
-    sub.add_argument("--quandles", default="",
-                     help="comma list of quandles for invariant checks, e.g. R3,R5")
+    if quandles:  # only equiv and classify compute invariants
+        sub.add_argument("--quandles", default="",
+                         help="comma list of quandles for invariant checks, e.g. R3,R5")
 
 
 def cmd_genus(args) -> int:
@@ -164,17 +165,17 @@ def main(argv=None) -> int:
     p = subs.add_parser("equiv", help="bounded equivalence check")
     p.add_argument("a")
     p.add_argument("b")
-    _add_search_args(p)
+    _add_search_args(p, quandles=True)
     p.set_defaults(fn=cmd_equiv)
 
     p = subs.add_parser("minimize", help="minimal (genus, crossings) witness in the bounded orbit")
     p.add_argument("diagram")
-    _add_search_args(p)
+    _add_search_args(p, quandles=False)
     p.set_defaults(fn=cmd_minimize)
 
     p = subs.add_parser("classify", help="partition a corpus file (one Gauss code per line)")
     p.add_argument("corpus")
-    _add_search_args(p)
+    _add_search_args(p, quandles=True)
     p.set_defaults(fn=cmd_classify)
 
     args = parser.parse_args(argv)

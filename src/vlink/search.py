@@ -22,29 +22,42 @@ without building a ``Diagram``, except an R1- or R2- that undoes a
 recorded up move: every R1+, R2+ and R2+stab result, when labelled,
 records which state its R1- or R2- on the crossings the move added
 gives (the state it came from), and that down move is read from the
-record, not labelled.  Records sit in the bounded store ``_undone``,
-keyed by a state and the crossings the move adds or removes, in
-increasing order, and are popped when read; a missing record costs only
-a label.  ``equivalent`` walks back the backward half of a path with a
-fresh listing of each state on it, read only as far as the site that
-gives the previous state.  Only ``minimize`` and ``classify_corpus``
-rank states: their search reads each state's rank from the
-representative it lists the state from, and ranks the states it reached
-but never listed from representatives built for the rank alone.  Their
-closed orbits are kept in the bounded memo ``_closed``, which a later
-search of theirs from any state of one reads instead of searching (see
-``_minimal_orbit``); ``orbit`` and ``equivalent`` neither read nor fill
-it.  ``invariant_table`` keeps each state's rows in ``_tables``.
-Replay reads none of these memos: it builds each step's representative
-afresh, applies the step with ``moves.apply_move``, which looks for the
-site among its kind's sites as they are generated and validates the
-result, and labels the result.  It keeps only the steps it verified
-itself, in the bounded record ``_replayed`` of (state, site) -> the state
-the step gives, oldest dropped first; a step whose record names the state
-its path names is not applied again, and any other step, unrecorded or
-naming another state, is replayed in full.  By Kuperberg's theorem a
-verified step is a fact about the state, true for the rest of the
-process.
+record, not labelled.  ``equivalent`` walks back the backward half of a
+path with a fresh listing of each state on it, read only as far as the
+site that gives the previous state.  Only ``minimize`` and
+``classify_corpus`` rank states: their search reads each state's rank
+from the representative it lists the state from, and ranks the states
+it reached but never listed from representatives built for the rank
+alone.  Replay builds each step's representative afresh, applies the
+step with ``moves.apply_move``, which looks for the site among its
+kind's sites as they are generated and validates the result, and labels
+the result.
+
+By Kuperberg's theorem an undone up move, a closed orbit with its
+least-ranked witness, a verified step and an invariant row are each a
+fact about a state, true for the rest of the process, so each is kept
+in a per-process memo.  Every memo is a ``_Memo``, an ``OrderedDict``
+that holds at most its ``bound`` entries and drops the oldest first:
+
+- ``_undone``, 2**16 records: (state, crossings, in increasing order) ->
+  the state that R1- or R2- on those crossings gives, recorded by the up
+  move that added them and popped when read; a missing record costs only
+  a label.
+- ``_closed``, 2**15 states: (state, crossing cap) -> the parents and
+  least rank of the closed ranking search whose orbit holds the state,
+  one entry per orbit, which an ``_Orbits`` drops whole.  Only
+  ``minimize`` and ``classify_corpus`` read and fill it (see
+  ``_minimal_orbit``).
+- ``_replayed``, 2**14 steps: (state, site) -> the state the step gives,
+  for each step ``_replay`` applied and found to give the state its path
+  names.  A step whose record names the state its path names is not
+  applied again; any other is replayed in full.  Replay reads no other
+  memo.
+- ``_tables``, 2**12 tables: (canonical string, quandles) ->
+  ``invariant_table``'s rows.
+
+``_reset_memos`` empties them and the ``lru_cache``s of
+``canonical_string`` and ``diagram._layout``.
 
 Honest verdicts only: bounded meeting proves equivalence (the path is
 replayed before being returned), an invariant mismatch proves
@@ -61,7 +74,7 @@ from dataclasses import dataclass
 
 from .codec import _from_canonical
 from .diagram import (
-    Diagram, DiagramError, _check_passes, _label, canonical_string, require_valid, stats,
+    Diagram, DiagramError, _check_passes, _label, _layout, canonical_string, require_valid, stats,
 )
 from .invariants import Quandle, check_state_sum_cap, dihedral_quandle, f_poly, quandle_colorings
 from .moves import _GROWTH, MoveError, MoveSite, _edit, _removed, apply_move, enumerate_moves
@@ -164,34 +177,60 @@ def _listing(rep: Diagram, cs: str, max_crossings: int):
             # cs2 is vertex k - 1 of its representative
             n = len(named)
             _undone[cs2, tuple(sorted(int(named[v]) - 1 for v in range(n - growth, n)))] = cs
-            if len(_undone) > _UNDONE_SIZE:
-                _undone.popitem(last=False)
         yield site, cs2
 
 
+class _Memo(OrderedDict):
+    """A per-process memo of facts about states, holding at most ``bound``
+    entries: storing a key past the bound drops the oldest entry first.
+    An OrderedDict, since taking a plain dict's first key rescans the
+    slots of the keys deleted before it."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        while len(self) > self.bound:
+            self.evict()
+
+    def evict(self) -> None:
+        self.popitem(last=False)
+
+
+class _Orbits(_Memo):
+    """Closed orbits by (state, crossing cap): one entry per orbit, which
+    each of its states names, so eviction drops the oldest orbit whole."""
+
+    def evict(self) -> None:
+        (_, cap), (parents, _) = self.popitem(last=False)
+        for state in parents:
+            self.pop((state, cap), None)
+
+
 # (state, removed crossings) -> the state R1- or R2- on them gives, recorded
-# by the up moves they undo and popped when read; oldest dropped first, by
-# an OrderedDict, since taking a plain dict's first key rescans the slots
-# of the keys deleted before it
-_UNDONE_SIZE = 2**16
-_undone: OrderedDict[tuple[str, tuple[int, ...]], str] = OrderedDict()
+# by the up moves they undo and popped when read
+_undone: _Memo[tuple[str, tuple[int, ...]], str] = _Memo(2**16)
 
 # (state, crossing cap) -> (parents, least rank) of the closed ranking
-# search whose orbit holds the state: one entry per orbit, which each of
-# its states names; whole orbits are dropped, the oldest first, to keep
-# at most _CLOSED_SIZE states
-_CLOSED_SIZE = 2**15
-_closed: OrderedDict[tuple[str, int], tuple[dict, tuple]] = OrderedDict()
+# search whose orbit holds the state
+_closed: _Orbits[tuple[str, int], tuple[dict, tuple]] = _Orbits(2**15)
 
 # (state, site) -> the state it gives, for each step _replay applied and
-# found to give the state its path names; oldest dropped first
-_REPLAYED_SIZE = 2**14
-_replayed: OrderedDict[tuple[str, MoveSite], str] = OrderedDict()
+# found to give the state its path names
+_replayed: _Memo[tuple[str, MoveSite], str] = _Memo(2**14)
 
-# (canonical string, quandles) -> invariant_table's rows, for at most
-# _MEMO_SIZE states; oldest dropped first
-_MEMO_SIZE = 2**12
-_tables: OrderedDict[tuple[str, tuple], tuple[tuple[str, str], ...]] = OrderedDict()
+# (canonical string, quandles) -> invariant_table's rows
+_tables: _Memo[tuple[str, tuple], tuple[tuple[str, str], ...]] = _Memo(2**12)
+
+
+def _reset_memos() -> None:
+    """Empty every per-process memo: the four above and the caches of
+    ``canonical_string`` and ``diagram._layout``."""
+    for clear in (_undone.clear, _closed.clear, _replayed.clear, _tables.clear,
+                  canonical_string.cache_clear, _layout.cache_clear):
+        clear()
 
 
 class _Budget:
@@ -320,8 +359,6 @@ def invariant_table(d: Diagram, quandles=DEFAULT_QUANDLES) -> tuple[tuple[str, s
         # every row is an isomorphism invariant: the table is the state's
         table = _tables[key] = tuple((name, str(value(d)))
                                      for name, value in invariant_rows(quandles))
-        if len(_tables) > _MEMO_SIZE:
-            _tables.popitem(last=False)
     return table
 
 
@@ -348,8 +385,6 @@ def _replay(start_cs: str, path, end_cs: str) -> bool:
                 return False
             if key is not None:
                 _replayed[key] = expected
-                if len(_replayed) > _REPLAYED_SIZE:
-                    _replayed.popitem(last=False)
         cs = expected
     return cs == end_cs
 
@@ -408,10 +443,14 @@ def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     A closed orbit is kept in ``_closed``, and a later search from any of
     its states that could not stop sooner (no ``max_depth``, and a
     ``max_states`` that admits the whole orbit) takes a copy of its
-    parents and its least rank instead of searching.  Every listed move
-    has a listed inverse within the cap, so a search from any member
-    closes on the same states with the same least rank; the copy's walks
-    back end at the orbit's first start, which need not be ``d``."""
+    parents and its least rank instead of searching.  The copy answers
+    for every member only because the orbit searched from any member is
+    the same set of states.  That is not because every listed move has a
+    listed inverse: R2- on the fold ``O1+ U1+ U2- O2-`` gives ``*``, and
+    no site of ``*`` gives the fold back.  A search from ``*`` reaches
+    the fold another way, so the two orbits are equal (15, 117 and 1,531
+    states at caps 2, 3 and 4).  The copy's walks back end at the
+    orbit's first start, which need not be ``d``."""
     cs, cap = canonical_string(d), bounds.max_crossings
     search = _Search(cs, _Budget(bounds, 1))
     closed = _closed.get((cs, cap))
@@ -424,14 +463,10 @@ def _minimal_orbit(d: Diagram, bounds: SearchBounds):
     if search.budget.truncated:
         return search, min([search.least, *(_rank(_from_canonical(state), state)
                                             for state in search.frontier)])
-    if len(search.parents) <= _CLOSED_SIZE:
+    if len(search.parents) <= _closed.bound:
         entry = (dict(search.parents), search.least)
         for state in search.parents:
             _closed[state, cap] = entry
-        while len(_closed) > _CLOSED_SIZE:
-            (_, old_cap), (parents, _) = _closed.popitem(last=False)
-            for state in parents:
-                _closed.pop((state, old_cap), None)
     return search, search.least
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import vlink.search
 from vlink.codec import parse_gauss, to_diagram
-from vlink.diagram import Diagram, _layout, canonical_string
+from vlink.diagram import Diagram, canonical_string
 
 
 def random_code_text(rng: random.Random, max_v: int = 6, max_comps: int = 3,
@@ -102,11 +102,7 @@ def _connected_diagrams(max_v: int) -> tuple[Diagram, ...]:
 def clear_memos() -> None:
     """Empty every per-process memo of the library, so that the next
     search starts cold."""
-    for cache in (canonical_string, _layout):
-        cache.cache_clear()
-    for memo in (vlink.search._undone, vlink.search._closed, vlink.search._tables,
-                 vlink.search._replayed):
-        memo.clear()
+    vlink.search._reset_memos()
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -198,6 +198,7 @@ def test_unreadable_input_exits_3(files, tmp_path, text):
     ["classify", "{u}", "--no-such-option"],
     ["bogus"],
     [],
+    ["minimize", "{u}", "--quandles", "R3"],  # minimize computes no invariant
 ])
 def test_usage_errors_exit_3(files, argv):
     argv = [a.format(u=files["unknot.gauss"]) for a in argv]

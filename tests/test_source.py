@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import copy
 import importlib
 import subprocess
 import sys
@@ -59,54 +60,74 @@ def test_every_cache_has_a_size_bound():
     assert checked and found == []
 
 
-def test_one_reset_empties_every_memo():
-    # tests reset the library's memos through helpers.clear_memos; a memo
-    # it misses would carry state from one test into the next.  Every
-    # lru_cache in a vlink module and every container search.py binds at
-    # module level must be empty after it
-    import vlink.search
+def _module_state() -> dict:
+    """Each module-level container and cache of the vlink modules, by
+    ``module.name``; the dunder attributes Python sets are left out."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("vlink" if path.stem == "__init__" else f"vlink.{path.stem}")
+        out.update({f"{module.__name__}.{name}": value for name, value in vars(module).items()
+                    if not name.startswith("__") and (
+                        isinstance(value, (dict, list, set, bytearray, collections.deque))
+                        or hasattr(value, "cache_info"))})
+    return out
+
+
+def _size(memo) -> int:
+    return memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
+
+
+def _fill_memos() -> None:
+    """Searches that store into every memo: the kink joins the unknot's
+    class by a replayed path, and a truncated orbit leaves records of up
+    moves unread."""
     from vlink.codec import parse_gauss, to_diagram
     from vlink.diagram import UNKNOT
-    from vlink.search import SearchBounds, classify_corpus
+    from vlink.search import SearchBounds, classify_corpus, orbit
+
+    classify_corpus([UNKNOT, to_diagram(parse_gauss("O1+ U1+"))], SearchBounds(2))
+    orbit(UNKNOT, SearchBounds(3, max_states=10))
+
+
+def test_one_reset_empties_every_memo():
+    # tests reset the library's memos through helpers.clear_memos; a memo
+    # it missed would carry state from one test into the next.  Every
+    # memo and every cache of the vlink modules, each holding something
+    # after searches, is empty after it
+    from vlink.search import _Memo
 
     from helpers import clear_memos
 
-    classify_corpus([UNKNOT, to_diagram(parse_gauss("O1+ U1+"))], SearchBounds(2))
-    assert vlink.search._replayed  # the kink joins the unknot's class by a replayed path
+    _fill_memos()
+    memos = {where: value for where, value in _module_state().items()
+             if isinstance(value, _Memo) or hasattr(value, "cache_info")}
+    assert [where for where, memo in memos.items() if not _size(memo)] == []
     clear_memos()
-    caches = {}
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module("vlink" if path.stem == "__init__" else f"vlink.{path.stem}")
-        caches.update({id(value): value for value in vars(module).values()
-                       if hasattr(value, "cache_info")})
-    assert {c.__wrapped__.__name__ for c in caches.values()} >= {"canonical_string", "_layout"}
-    assert [c.__wrapped__.__name__ for c in caches.values() if c.cache_info().currsize] == []
-    memos = _search_memos()
-    assert {"_undone", "_closed", "_tables", "_replayed"} <= set(memos)
-    assert [name for name, memo in memos.items() if memo] == []
-
-
-def _search_memos() -> dict:
-    """The containers and caches search.py binds at module level, by name."""
-    tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
-    bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-             if isinstance(target, ast.Name)}
-    search = importlib.import_module("vlink.search")
-    return {name: getattr(search, name) for name in bound
-            if isinstance(getattr(search, name), (dict, list, set, collections.deque))
-            or hasattr(getattr(search, name), "cache_info")}
+    assert [where for where, memo in memos.items() if _size(memo)] == []
 
 
 def test_search_keeps_no_listing_memo():
     # a listing has one reader, the search that lists its state, so
-    # search.py memoizes no function and keeps only the up-move records,
-    # the closed orbits, the replayed steps and the invariant tables
+    # search.py memoizes no function.  What the library keeps per process
+    # sits in memos of one type: every module-level container is a
+    # search._Memo, or a constant named as one that searches leave as
+    # they found it, and every cache is a bounded lru_cache
+    from vlink.search import _Memo
+
     tree = ast.parse((SRC / "search.py").read_text(), filename="search.py")
     found = [f"search.py:{node.lineno}" for node in ast.walk(tree) if _is_lru_cache(node) or (
         getattr(node, "id", getattr(node, "attr", None)) in ("cache", "cached_property"))]
     assert found == []
-    assert sorted(_search_memos()) == ["_closed", "_replayed", "_tables", "_undone"]
+    constants = {where: copy.deepcopy(value) for where, value in _module_state().items()
+                 if not isinstance(value, _Memo) and not hasattr(value, "cache_info")}
+    _fill_memos()
+    state = _module_state()
+    assert [where for where, value in constants.items() if state[where] != value
+            or not where.rsplit(".", 1)[1].isupper()] == []
+    assert any(isinstance(value, _Memo) for value in state.values())
+    caches = [value for value in state.values() if hasattr(value, "cache_info")]
+    assert caches and [cache for cache in caches if type(cache.cache_info().maxsize) is not int
+                       or cache.cache_info().maxsize <= 0] == []
 
 
 def test_every_export_is_defined_once():
